@@ -16,8 +16,8 @@ windows of ``bits / cycle`` (full demand) and ``anchor bits / cycle``
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.protocol import ProtocolConfig
@@ -130,11 +130,20 @@ ADMITTED_REASON = "critical layers covered for all sessions"
 
 @dataclass(frozen=True)
 class AdmissionDecision:
-    """Outcome of one admission test."""
+    """Outcome of one admission test.
+
+    ``shares`` is the scheduler's allocation over the prospective active
+    set (the active sessions, then the candidate).  An admitting service
+    reuses it as its allocation instead of running the scheduler again;
+    ``None`` leaves the service to allocate for itself.
+    """
 
     admitted: bool
     reason: str
     share_bps: float  # the candidate's prospective share
+    shares: Optional[Dict[str, float]] = field(
+        default=None, compare=False, repr=False
+    )
 
 
 class AdmissionController:
@@ -176,9 +185,11 @@ class AdmissionController:
                         f"{whose} critical demand of {floor:.0f} bps"
                     ),
                     share_bps=shares[candidate.session_id],
+                    shares=shares,
                 )
         return AdmissionDecision(
             admitted=True,
             reason=ADMITTED_REASON,
             share_bps=shares[candidate.session_id],
+            shares=shares,
         )

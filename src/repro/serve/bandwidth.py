@@ -85,16 +85,22 @@ def _water_fill(
     """Weighted max-min allocation capped at each member's demand.
 
     Repeatedly splits the remaining capacity by weight; members whose
-    demand is met drop out and free their surplus for the rest.
+    demand is met drop out and free their surplus for the rest.  Each
+    round partitions the active members in one pass, so a round costs
+    time linear in the members still active.
     """
     shares = {member.session_id: 0.0 for member in members}
     active = sorted(members, key=lambda m: m.session_id)
     while active and capacity > 1e-9:
         total_weight = sum(member.weight for member in active)
         quantum = capacity / total_weight
-        satisfied = [
-            member for member in active if member.demand_bps <= quantum * member.weight
-        ]
+        satisfied: List[SessionDemand] = []
+        pending: List[SessionDemand] = []
+        for member in active:
+            if member.demand_bps <= quantum * member.weight:
+                satisfied.append(member)
+            else:
+                pending.append(member)
         if not satisfied:
             for member in active:
                 shares[member.session_id] = quantum * member.weight
@@ -102,7 +108,7 @@ def _water_fill(
         for member in satisfied:
             shares[member.session_id] = member.demand_bps
             capacity -= member.demand_bps
-        active = [member for member in active if member not in satisfied]
+        active = pending
     return shares
 
 
@@ -119,10 +125,14 @@ class PriorityScheduler:
         if not demands:
             return {}
         shares: Dict[str, float] = {demand.session_id: 0.0 for demand in demands}
-        classes = sorted({demand.priority for demand in demands}, reverse=True)
+        # One pass buckets the demands by class; members keep input order.
+        by_class: Dict[int, List[SessionDemand]] = {}
+        for demand in demands:
+            by_class.setdefault(demand.priority, []).append(demand)
+        classes = sorted(by_class, reverse=True)
         remaining = capacity_bps
         for position, cls in enumerate(classes):
-            members = [demand for demand in demands if demand.priority == cls]
+            members = by_class[cls]
             if remaining <= 0:
                 break
             if position + 1 == len(classes):

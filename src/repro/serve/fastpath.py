@@ -368,13 +368,6 @@ class _FleetExecution:
             outcome.min_share_bps = row.min_share_bps
             if obs.enabled():
                 obs.counter("serve.sessions_completed").inc()
-                session_id = outcome.request.session_id
-                obs.gauge(f"serve.session.{session_id}.mean_clf").set(
-                    outcome.result.mean_clf
-                )
-                obs.gauge(f"serve.session.{session_id}.mean_alf").set(
-                    outcome.result.series.alf_summary.mean
-                )
                 obs.histogram("serve.session_stream_clf").observe(
                     outcome.result.stream_clf
                 )
@@ -432,6 +425,9 @@ def serve_sessions_fast(
         service = StreamingService(capacity_bps, loop=loop, **kwargs)
         service.submit_all(requests)
         return service.run()
+    track = obs.enabled()
+    if track:
+        started = time.perf_counter()
     planner = _PlanningService(capacity_bps, **kwargs)
     planner.submit_all(requests)
     result = planner.run()
@@ -440,9 +436,15 @@ def serve_sessions_fast(
         for outcome in result.outcomes
         if outcome.admitted
     ]
+    if track:
+        planned = time.perf_counter()
+        obs.timer("serve.fastpath.plan").observe_seconds(planned - started)
     if plans:
         _execute_fleet(plans, planner._shed_policy)
-    if obs.enabled():
+    if track:
+        obs.timer("serve.fastpath.execute").observe_seconds(
+            time.perf_counter() - planned
+        )
         obs.counter("serve.fastpath.runs").inc()
         obs.counter("serve.fastpath.sessions").inc(len(plans))
     return result

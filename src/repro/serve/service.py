@@ -305,8 +305,10 @@ class StreamingService:
         # Epoch cache of the scheduler's allocation.  Both shipped
         # schedulers are pure functions of (demand set, capacity), and
         # demands are frozen per session, so the allocation can only
-        # change when the active set changes — arrivals and departures
-        # invalidate it, every window event in between reuses it.
+        # change when the active set changes.  An admitted arrival seeds
+        # it with the admission test's allocation (the same demand list),
+        # a departure invalidates it, and every window event in between
+        # reuses it.
         self._shares_cache: Optional[Dict[str, float]] = None
         self._result = ServiceResult(
             capacity_bps=capacity_bps,
@@ -358,6 +360,7 @@ class StreamingService:
             critical_bps=critical,
         )
         self._result.outcomes.append(outcome)
+        shares: Optional[Dict[str, float]] = None
         if self._admission is not None:
             decision = self._admission.evaluate(self._demands(), demand)
             if not decision.admitted:
@@ -368,6 +371,9 @@ class StreamingService:
                     obs.counter("serve.sessions_rejected").inc()
                 return
             outcome.reason = decision.reason
+            # The test allocated over the active demands followed by this
+            # one: exactly ``_demands()`` once it is added below.
+            shares = decision.shares
         session = self._create_session(request)
         windows = _windows_for(
             request.stream, request.config.window_frames, request.max_windows
@@ -380,7 +386,7 @@ class StreamingService:
         )
         active.window_event = lambda: self._window_event(request.session_id)
         self._active[request.session_id] = active
-        self._shares_cache = None
+        self._shares_cache = shares
         if obs.enabled():
             obs.counter("serve.sessions_admitted").inc()
             obs.gauge("serve.active_sessions").set(len(self._active))
@@ -438,13 +444,6 @@ class StreamingService:
         outcome.min_share_bps = active.session.min_share_bps
         if obs.enabled():
             obs.counter("serve.sessions_completed").inc()
-            session_id = outcome.request.session_id
-            obs.gauge(f"serve.session.{session_id}.mean_clf").set(
-                outcome.result.mean_clf
-            )
-            obs.gauge(f"serve.session.{session_id}.mean_alf").set(
-                outcome.result.series.alf_summary.mean
-            )
             obs.histogram("serve.session_stream_clf").observe(
                 outcome.result.stream_clf
             )

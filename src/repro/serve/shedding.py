@@ -30,7 +30,7 @@ sequential engine.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.layered import LayeredPlan
 from repro.errors import ConfigurationError
@@ -38,6 +38,14 @@ from repro.media.ldu import Ldu
 from repro.network.estimation import GilbertEstimator
 
 __all__ = ["LayeredShedPolicy"]
+
+#: Window tuples whose constants one policy keeps memoised.  The service
+#: interns window tuples per stream shape, so a fleet reuses a handful;
+#: a full memo is simply emptied and refilled.
+_WINDOW_MEMO_SIZE = 1024
+
+#: A window's frame sizes, anchor bits and total bits.
+_WindowTotals = Tuple[List[int], int, float]
 
 
 class LayeredShedPolicy:
@@ -74,6 +82,32 @@ class LayeredShedPolicy:
         self.headroom = headroom
         self.retry_cap = retry_cap
         self.reserve_cap = reserve_cap
+        # Keyed by the window tuple's identity; each entry pins its tuple,
+        # so the id cannot be recycled while the entry lives.
+        self._window_memo: Dict[int, Tuple[tuple, _WindowTotals]] = {}
+
+    def _window_totals(self, window: Sequence[Ldu]) -> _WindowTotals:
+        """Sizes, anchor bits and total bits of ``window``.
+
+        They depend on the window alone, so they are memoised per window
+        tuple.  Other sequences may be mutated between calls and are
+        measured afresh every time.
+        """
+        hit = self._window_memo.get(id(window))
+        if hit is not None and hit[0] is window:
+            return hit[1]
+        sizes = [ldu.size_bits for ldu in window]
+        anchor_bits = sum(
+            size
+            for ldu, size in zip(window, sizes)
+            if ldu.frame_type.is_anchor
+        )
+        totals = (sizes, anchor_bits, float(sum(sizes)))
+        if isinstance(window, tuple):
+            if len(self._window_memo) >= _WINDOW_MEMO_SIZE:
+                self._window_memo.clear()
+            self._window_memo[id(window)] = (window, totals)
+        return totals
 
     def reserve_bits(
         self,
@@ -113,14 +147,9 @@ class LayeredShedPolicy:
         n = len(window)
         cycle = n / fps
         air_bits = bandwidth_bps * cycle
-        sizes = [ldu.size_bits for ldu in window]
-        anchor_bits = sum(
-            size
-            for ldu, size in zip(window, sizes)
-            if ldu.frame_type.is_anchor
-        )
+        sizes, anchor_bits, total_bits = self._window_totals(window)
         budget = air_bits - self.reserve_bits(air_bits, anchor_bits, estimator)
-        excess = float(sum(sizes)) - budget
+        excess = total_bits - budget
         if excess <= 0:
             return frozenset()
         shed = set()

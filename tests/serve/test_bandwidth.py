@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Dict, List, Sequence
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.serve.bandwidth import (
@@ -109,6 +113,127 @@ class TestPriority:
         shares = PriorityScheduler().allocate(demands, 900_000.0)
         assert shares["a"] == pytest.approx(300_000.0)
         assert shares["b"] == pytest.approx(600_000.0)
+
+
+def _quadratic_water_fill(
+    members: List[SessionDemand], capacity: float
+) -> Dict[str, float]:
+    """The original water-fill, kept verbatim as the parity oracle: it drops
+    satisfied members with a list-membership test, quadratic per round."""
+    shares = {member.session_id: 0.0 for member in members}
+    active = sorted(members, key=lambda m: m.session_id)
+    while active and capacity > 1e-9:
+        total_weight = sum(member.weight for member in active)
+        quantum = capacity / total_weight
+        satisfied = [
+            member for member in active if member.demand_bps <= quantum * member.weight
+        ]
+        if not satisfied:
+            for member in active:
+                shares[member.session_id] = quantum * member.weight
+            return shares
+        for member in satisfied:
+            shares[member.session_id] = member.demand_bps
+            capacity -= member.demand_bps
+        active = [member for member in active if member not in satisfied]
+    return shares
+
+
+def _oracle_priority_allocate(
+    demands: Sequence[SessionDemand], capacity_bps: float
+) -> Dict[str, float]:
+    """The original ``PriorityScheduler.allocate``: one scan per class."""
+    if capacity_bps <= 0:
+        raise ConfigurationError("capacity must be positive")
+    if not demands:
+        return {}
+    shares: Dict[str, float] = {demand.session_id: 0.0 for demand in demands}
+    classes = sorted({demand.priority for demand in demands}, reverse=True)
+    remaining = capacity_bps
+    for position, cls in enumerate(classes):
+        members = [demand for demand in demands if demand.priority == cls]
+        if remaining <= 0:
+            break
+        if position + 1 == len(classes):
+            total_weight = sum(member.weight for member in members)
+            for member in members:
+                shares[member.session_id] = (
+                    remaining * member.weight / total_weight
+                )
+            remaining = 0.0
+        else:
+            allocated = _quadratic_water_fill(members, remaining)
+            shares.update(allocated)
+            remaining -= sum(allocated.values())
+    return shares
+
+
+#: A few demand levels many sessions share, so rounds satisfy ties at once.
+_TIED_DEMANDS = (0.0, 250_000.0, 1_200_000.0, 1_200_000.0 / 3)
+
+
+@st.composite
+def _demand_sets(draw):
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from(_TIED_DEMANDS),
+                    st.floats(0.0, 5_000_000.0, allow_nan=False),
+                ),
+                st.sampled_from((0.5, 1.0, 2.0, 3.0)),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    # Session ids in a shuffled order: the water-fill sorts by id while
+    # the allocation keeps the input order.
+    ranks = draw(st.permutations(range(len(rows))))
+    demands = [
+        SessionDemand(
+            session_id=f"s{rank:03d}",
+            demand_bps=full,
+            critical_bps=full / 2,
+            weight=weight,
+            priority=priority,
+        )
+        for rank, (full, weight, priority) in zip(ranks, rows)
+    ]
+    total = sum(demand.demand_bps for demand in demands)
+    # From starved (a sliver of the total demand) to everyone satisfied.
+    fraction = draw(
+        st.one_of(st.sampled_from((1e-6, 0.5, 1.0, 2.0)), st.floats(1e-3, 2.0))
+    )
+    capacity = total * fraction if total > 0 else 1_000_000.0
+    return demands, max(capacity, 1.0)
+
+
+class TestPriorityParity:
+    """The linear-time scheduler is the quadratic one, value for value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_demand_sets())
+    def test_matches_quadratic_oracle(self, case):
+        demands, capacity = case
+        got = PriorityScheduler().allocate(demands, capacity)
+        want = _oracle_priority_allocate(demands, capacity)
+        assert got == want
+        assert list(got) == list(want)
+
+    def test_large_tied_class_matches_oracle(self):
+        """A flash-crowd shape: many tied premium viewers over one class."""
+        demands = [
+            demand(f"v{index:03d}", weight=2.0 if index % 4 else 1.0,
+                   priority=1 if index % 4 else 0)
+            for index in range(300)
+        ]
+        for capacity in (1e5, 1.2e8, 2.7e8, 4e8):
+            got = PriorityScheduler().allocate(demands, capacity)
+            want = _oracle_priority_allocate(demands, capacity)
+            assert got == want
+            assert list(got) == list(want)
 
 
 class TestSessionDemand:

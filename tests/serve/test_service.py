@@ -11,9 +11,11 @@ from repro.media.gop import GOP_12
 from repro.media.stream import make_video_stream
 from repro.serve import (
     LoadSpec,
+    PriorityScheduler,
     SessionRequest,
     StreamingService,
     build_service_manifest,
+    estimate_demand,
     generate_requests,
     serve_sessions,
 )
@@ -144,3 +146,135 @@ class TestObservability:
         result = serve_sessions(fleet(2), CAPACITY)
         text = result.describe()
         assert "fair" in text and "admitted" in text
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_metric_names_do_not_grow_with_fleet_size(self, fast):
+        """No metric is named per session: K=4 and K=16 report the same names."""
+
+        def metric_names(sessions):
+            # A lossy channel, so both fleets hit every conditional
+            # counter (lost ACKs, shed frames, rejections).
+            requests = fleet(
+                sessions,
+                mean_interarrival=1e-3,
+                config=ProtocolConfig(p_good=0.8),
+            )
+            obs.enable()
+            obs.reset()
+            try:
+                serve_sessions(
+                    requests, _overloaded_capacity(requests, 1.5), fast=fast
+                )
+                snapshot = obs.snapshot()
+            finally:
+                obs.disable()
+            return {
+                name
+                for kind in ("counters", "gauges", "histograms", "timers")
+                for name in snapshot[kind]
+            }
+
+        small = metric_names(4)
+        assert "serve.sessions_rejected" in small  # the fleets contend
+        assert metric_names(16) == small
+
+
+def _overloaded_capacity(requests, overload):
+    """A bottleneck ``overload`` times too small for the whole fleet."""
+    total = sum(
+        estimate_demand(r.stream, r.config, max_windows=r.max_windows)[0]
+        for r in requests
+    )
+    return total / overload
+
+
+class _CountingScheduler:
+    """A scheduler wrapper that logs every allocation into an event log."""
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.name = inner.name
+        self.log = log
+
+    def allocate(self, demands, capacity_bps):
+        self.log.append(("allocate",))
+        return self.inner.allocate(demands, capacity_bps)
+
+
+class _LoggingService(StreamingService):
+    """The service with its arrival and window events logged."""
+
+    def __init__(self, capacity_bps, *, log, **kwargs):
+        super().__init__(capacity_bps, **kwargs)
+        self.log = log
+
+    def _arrive(self, request):
+        self.log.append(("arrive", request.session_id))
+        super()._arrive(request)
+
+    def _window_event(self, session_id):
+        index = self._active[session_id].next_index
+        self.log.append(("window", session_id, index))
+        super()._window_event(session_id)
+
+
+class TestAllocationCalls:
+    """The scheduler runs once per active-set change, not once per event."""
+
+    def flash_crowd(self):
+        requests = fleet(12, seed=9, mean_interarrival=1e-3)
+        return requests, _overloaded_capacity(requests, 1.5)
+
+    def test_admitted_arrival_and_first_window_allocate_once(self):
+        requests, capacity = self.flash_crowd()
+        log = []
+        service = _LoggingService(
+            capacity,
+            scheduler=_CountingScheduler(PriorityScheduler(), log),
+            admission=True,
+            log=log,
+        )
+        service.submit_all(requests)
+        result = service.run()
+        assert result.rejected and result.admitted
+        admitted = {outcome.request.session_id for outcome in result.admitted}
+        events = [index for index, entry in enumerate(log) if entry[0] != "allocate"]
+        checked = 0
+        for position, start in enumerate(events[:-1]):
+            entry = log[start]
+            if entry[0] != "arrive" or entry[1] not in admitted:
+                continue
+            if log[events[position + 1]] != ("window", entry[1], 0):
+                continue
+            # From the arrival to the end of its first window event.
+            end = events[position + 2] if position + 2 < len(events) else len(log)
+            allocations = sum(1 for item in log[start:end] if item[0] == "allocate")
+            assert allocations == 1, f"session {entry[1]!r}"
+            checked += 1
+        assert checked >= 3
+
+    def test_fast_path_matches_event_loop_on_the_crowd(self):
+        requests, capacity = self.flash_crowd()
+        slow = serve_sessions(requests, capacity, scheduler=PriorityScheduler())
+        fast = serve_sessions(
+            requests, capacity, fast=True, scheduler=PriorityScheduler()
+        )
+        assert len(fast.outcomes) == len(slow.outcomes)
+        for a, b in zip(slow.outcomes, fast.outcomes):
+            assert (
+                a.request.session_id,
+                a.admitted,
+                a.reason,
+                a.share_bps,
+                a.min_share_bps,
+                a.shed_frames,
+                a.result,
+            ) == (
+                b.request.session_id,
+                b.admitted,
+                b.reason,
+                b.share_bps,
+                b.min_share_bps,
+                b.shed_frames,
+                b.result,
+            )

@@ -4,13 +4,16 @@
 The observability layer (``repro.obs``) promises a near-zero cost when
 metrics are off: instrumented code pays one ``obs.enabled()`` branch
 per *batch* operation.  This guard measures that promise directly on
-the two hottest instrumented paths:
+three instrumented paths:
 
 * ``GilbertModel.losses`` — per-batch channel sampling — against a
   re-implementation of the *same body* with only the ``obs`` branch
   elided;
 * ``repro.accel.burst_runs`` — the dispatched, instrumented kernel —
-  against an identically-shaped dispatch function without the branch.
+  against an identically-shaped dispatch function without the branch;
+* ``serve_sessions_fast`` — whose plan and execute stage clocks are
+  created only when metrics are on — against the same two phases with
+  the clock branches elided.
 
 The baselines deliberately mirror the instrumented code line for line
 (same attribute lookups, same call shape) so the measured delta is the
@@ -29,6 +32,7 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from pathlib import Path
@@ -39,6 +43,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import accel, obs  # noqa: E402
 from repro.accel import _backend  # noqa: E402
 from repro.network.markov import BAD, GOOD, GilbertModel  # noqa: E402
+from repro.serve import LoadSpec, PriorityScheduler, generate_requests  # noqa: E402
+from repro.serve import fastpath  # noqa: E402
 
 
 def _plain_losses(model: GilbertModel, count: int) -> list:
@@ -55,6 +61,21 @@ def _plain_losses(model: GilbertModel, count: int) -> list:
 def _plain_burst_runs(order, burst):
     """``repro.accel.burst_runs`` dispatch with the ``obs`` branch removed."""
     return _backend().burst_runs(order, burst)
+
+
+def _plain_serve_fast(requests, capacity_bps, **kwargs):
+    """``serve_sessions_fast`` with its ``obs`` branches removed, nothing else."""
+    planner = fastpath._PlanningService(capacity_bps, **kwargs)
+    planner.submit_all(requests)
+    result = planner.run()
+    plans = [
+        planner.session_plans[outcome.request.session_id]
+        for outcome in result.outcomes
+        if outcome.admitted
+    ]
+    if plans:
+        fastpath._execute_fleet(plans, planner._shed_policy)
+    return result
 
 
 def _best_of(repeats: int, instrumented, baseline) -> tuple:
@@ -100,6 +121,38 @@ def guard_burst_runs(n: int, burst: int, calls: int, repeats: int) -> tuple:
     return _best_of(repeats, instrumented, baseline)
 
 
+def guard_serve_fast(sessions: int, repeats: int) -> tuple:
+    """Fast-path serving with its stage clocks vs the same two phases bare.
+
+    Size ``sessions`` so one run takes tens of milliseconds: on a
+    16-viewer fleet the order of the two arms alone moved the minima by
+    more than the threshold.
+    """
+    requests = generate_requests(
+        LoadSpec(sessions=sessions, seed=3, gop_count=4, max_windows=4)
+    )
+    capacity_bps = sessions * 1_000_000.0
+    kwargs = {"scheduler": PriorityScheduler()}
+
+    def instrumented() -> None:
+        fastpath.serve_sessions_fast(requests, capacity_bps, **kwargs)
+
+    def baseline() -> None:
+        _plain_serve_fast(requests, capacity_bps, **kwargs)
+
+    # One untimed run of each fills the demand, window and plan caches.
+    instrumented()
+    baseline()
+    # A run allocates enough objects to trigger cyclic collections, which
+    # would land on whichever arm crosses the threshold.
+    gc.collect()
+    gc.disable()
+    try:
+        return _best_of(repeats, instrumented, baseline)
+    finally:
+        gc.enable()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--threshold", type=float, default=0.02,
@@ -116,6 +169,7 @@ def main(argv=None) -> int:
     checks = [
         ("GilbertModel.losses", *guard_gilbert(args.batch, args.repeats)),
         ("accel.burst_runs", *guard_burst_runs(48, 20, args.calls, args.repeats)),
+        ("serve_sessions_fast", *guard_serve_fast(128, args.repeats)),
     ]
     failures = 0
     print(f"disabled-metrics overhead guard (threshold {args.threshold:.1%})")
