@@ -125,9 +125,9 @@ def run_sessions_batch(
     if max_windows is not None:
         windows = windows[:max_windows]
 
-    shapes: Dict[Tuple[int, tuple], _Shape] = {}
+    shapes: Dict[tuple, object] = {}
     infos = [_WindowInfo(window, config, stream.fps, shapes) for window in windows]
-    rows = [_Row(config, seed) for seed in seed_list]
+    rows = [_Row(config, seed, horizon=len(infos)) for seed in seed_list]
     control_serialization = _CONTROL_PACKET_BYTES * 8.0 / config.bandwidth_bps
 
     track = obs.enabled()

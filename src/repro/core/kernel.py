@@ -16,7 +16,7 @@ and ``serve.fastpath`` all route window advancement through it.
 
 Tiers
 -----
-Two execution tiers produce bit-for-bit identical results (the
+Three execution tiers produce bit-for-bit identical results (the
 differential suites in ``tests/core`` and ``tests/serve`` pin this on
 both accel backends, with and without NumPy):
 
@@ -122,6 +122,7 @@ __all__ = [
     "SessionRow",
     "SharedFleet",
     "WindowInfo",
+    "WindowLayout",
     "WindowShape",
     "audit_segments",
     "available_tiers",
@@ -130,6 +131,7 @@ __all__ = [
     "new_segment",
     "plan_refills",
     "prefetch_flags",
+    "prefetch_windows",
     "reap_segments",
     "row_bounds",
     "run_row_sender",
@@ -138,6 +140,7 @@ __all__ = [
     "step_fleet",
     "step_window",
     "tier_name",
+    "window_layout",
     "writeback_native_rng",
 ]
 
@@ -152,10 +155,14 @@ CONTROL_PACKET_BYTES = 64
 #: count, to cover retransmissions without a mid-window refill.
 PREFETCH_SLACK = 32
 
-#: Windows' worth of loss flags drawn per batched refill.  Prefetching
-#: several windows ahead is free (the draws come off each row's private
-#: stream in order either way) and turns many small stacked kernel calls
-#: into few large ones, which is where the NumPy backend pays off.
+#: Most windows' worth of loss flags drawn per batched refill.  Deeper
+#: prefetch turns many small stacked kernel calls into few large ones,
+#: which is where the NumPy backend pays off, but every flag drawn past
+#: the row's last window is wasted time and memory.  So a row whose
+#: engine set :attr:`SessionRow.horizon` draws
+#: ``min(PREFETCH_WINDOWS, windows_left)`` windows' worth (see
+#: :func:`prefetch_windows`).  Draws come off each row's private stream
+#: in order either way, so depth never changes a used loss flag.
 PREFETCH_WINDOWS = 8
 
 
@@ -281,8 +288,101 @@ class WindowShape:
         return cached
 
 
+class WindowLayout:
+    """Bandwidth-free packetization of one window at one packet size.
+
+    Everything :class:`WindowInfo` needs that no share changes: fragment
+    counts, per-fragment payload bytes, frame bytes, anchors and the
+    window's :class:`WindowShape`.  :func:`window_layout` builds it once
+    per (window, packet size) into the shape cache, so a new share only
+    pays its two serialization-time divisions, once per distinct frame
+    kind (frames with equal payloads share their timing tuples).
+    """
+
+    __slots__ = (
+        "window",
+        "n",
+        "anchors",
+        "frag_counts",
+        "payload_kinds",
+        "kind_bytes",
+        "frame_kinds",
+        "first_attempt_packets",
+        "shape",
+    )
+
+    def __init__(
+        self,
+        window: Sequence[Ldu],
+        config: ProtocolConfig,
+        shapes: Dict[tuple, object],
+    ) -> None:
+        n = len(window)
+        #: Held so the window outlives its id-keyed cache entry.
+        self.window = window
+        self.n = n
+        self.anchors = frozenset(
+            offset for offset in range(n) if window[offset].frame_type.is_anchor
+        )
+        packet_size = config.packet_size_bytes
+        frag_counts: List[int] = []
+        # A frame's payload tuple sums to its size, so it fixes the kind.
+        kinds: Dict[Tuple[int, ...], int] = {}
+        kind_bytes: List[int] = []
+        frame_kinds: List[int] = []
+        for ldu in window:
+            count = fragments_needed(ldu.size_bits, packet_size)
+            remaining = ldu.size_bytes
+            payloads: List[int] = []
+            for _ in range(count):
+                payload = min(packet_size, max(remaining, 0))
+                payloads.append(payload)
+                remaining -= payload
+            frag_counts.append(count)
+            kind = kinds.setdefault(tuple(payloads), len(kinds))
+            if kind == len(kind_bytes):
+                kind_bytes.append(ldu.size_bytes)
+            frame_kinds.append(kind)
+        self.frag_counts = tuple(frag_counts)
+        #: Distinct per-fragment payload tuples, their frame bytes, and
+        #: each frame's index into them.
+        self.payload_kinds = tuple(kinds)
+        self.kind_bytes = tuple(kind_bytes)
+        self.frame_kinds = tuple(frame_kinds)
+        self.first_attempt_packets = sum(frag_counts)
+        key = (n, tuple(ldu.frame_type for ldu in window))
+        shape = shapes.get(key)
+        if shape is None:
+            shape = WindowShape(window, config)
+            shapes[key] = shape
+        self.shape = shape
+
+
+def window_layout(
+    window: Sequence[Ldu], config: ProtocolConfig, shapes: Dict[tuple, object]
+) -> WindowLayout:
+    """The :class:`WindowLayout` of ``window`` at the config's packet size.
+
+    Built on first use, then cached.  The entry lives in ``shapes`` (the caller's shape cache, scoped to
+    one config family) under the window's identity; the layout keeps
+    the window alive, so the id cannot be reused while the entry exists.
+    """
+    key = ("layout", id(window), config.packet_size_bytes)
+    layout = shapes.get(key)
+    if layout is None:
+        layout = WindowLayout(window, config, shapes)
+        shapes[key] = layout
+    return layout
+
+
 class WindowInfo:
-    """Packetization and timing facts of one window, shared by all rows."""
+    """Packetization and timing facts of one window, shared by all rows.
+
+    The bandwidth-free part comes from the cached :class:`WindowLayout`;
+    only the serialization times depend on ``bandwidth_bps`` (default:
+    the config's own rate), so a new share costs the divisions of each
+    distinct frame kind, not a repacketization.
+    """
 
     __slots__ = (
         "n",
@@ -301,40 +401,26 @@ class WindowInfo:
         window: Sequence[Ldu],
         config: ProtocolConfig,
         fps: float,
-        shapes: Dict[Tuple[int, tuple], WindowShape],
+        shapes: Dict[tuple, object],
+        *,
+        bandwidth_bps: Optional[float] = None,
     ) -> None:
-        n = len(window)
-        self.n = n
-        self.cycle = n / fps
-        self.anchors = frozenset(
-            offset for offset in range(n) if window[offset].frame_type.is_anchor
-        )
-        bandwidth = config.bandwidth_bps
-        packet_size = config.packet_size_bytes
-        frag_counts: List[int] = []
-        frag_times: List[Tuple[float, ...]] = []
-        frame_ser: List[float] = []
-        for ldu in window:
-            count = fragments_needed(ldu.size_bits, packet_size)
-            remaining = ldu.size_bytes
-            times: List[float] = []
-            for _ in range(count):
-                payload = min(packet_size, max(remaining, 0))
-                times.append(payload * 8.0 / bandwidth)
-                remaining -= payload
-            frag_counts.append(count)
-            frag_times.append(tuple(times))
-            frame_ser.append(ldu.size_bytes * 8.0 / bandwidth)
-        self.frag_counts = tuple(frag_counts)
-        self.frag_times = tuple(frag_times)
-        self.frame_ser = tuple(frame_ser)
-        self.first_attempt_packets = sum(frag_counts)
-        key = (n, tuple(ldu.frame_type for ldu in window))
-        shape = shapes.get(key)
-        if shape is None:
-            shape = WindowShape(window, config)
-            shapes[key] = shape
-        self.shape = shape
+        layout = window_layout(window, config, shapes)
+        bandwidth = config.bandwidth_bps if bandwidth_bps is None else bandwidth_bps
+        self.n = layout.n
+        self.cycle = layout.n / fps
+        self.anchors = layout.anchors
+        self.frag_counts = layout.frag_counts
+        kind_times = [
+            tuple([payload * 8.0 / bandwidth for payload in payloads])
+            for payloads in layout.payload_kinds
+        ]
+        kind_ser = [size * 8.0 / bandwidth for size in layout.kind_bytes]
+        kinds = layout.frame_kinds
+        self.frag_times = tuple([kind_times[kind] for kind in kinds])
+        self.frame_ser = tuple([kind_ser[kind] for kind in kinds])
+        self.first_attempt_packets = layout.first_attempt_packets
+        self.shape = layout.shape
         #: Fused-tier cache of shared first-attempt timelines, keyed by
         #: (plan identity, window index).  Plans live in ``shape._plans``
         #: for the life of this info, so their ids are stable.
@@ -369,11 +455,14 @@ class SessionRow:
         "native_ctl",
         "native_rng",
         "native_flags",
+        "horizon",
     )
 
-    def __init__(self, config: ProtocolConfig, seed: int) -> None:
+    def __init__(
+        self, config: ProtocolConfig, seed: int, horizon: Optional[int] = None
+    ) -> None:
         self.result = SessionResult(
-            config=replace(config, seed=seed),
+            config=config if config.seed == seed else replace(config, seed=seed),
             windows=[],
             series=WindowSeries(
                 label="scrambled" if config.scramble else "in-order"
@@ -413,6 +502,10 @@ class SessionRow:
         #: matrices slice without list round-trips.  Any scalar-path
         #: mutation of ``flags`` sets this back to ``None``.
         self.native_flags = None
+        #: Windows this row will step in all, when its engine knows:
+        #: caps the loss-flag prefetch depth (:func:`prefetch_windows`).
+        #: ``None`` = unknown, prefetch the full ``PREFETCH_WINDOWS``.
+        self.horizon = horizon
 
     def refill(self, count: int, config: ProtocolConfig) -> None:
         """Draw ``count`` more loss flags off the private forward stream.
@@ -489,6 +582,21 @@ def writeback_native_rng(row: "SessionRow") -> None:
     row.fwd_rng.setstate((3, tuple(key.tolist()) + (pos,), None))
 
 
+def prefetch_windows(row: SessionRow) -> int:
+    """Windows' worth of loss flags one refill of ``row`` draws.
+
+    ``min(PREFETCH_WINDOWS, windows_left)``, where ``windows_left``
+    counts the window being stepped and every one after it; rows
+    without a :attr:`SessionRow.horizon` take the full depth.  Every
+    tier's prefetch uses this rule, so draw counts (``fwd_drawn``) stay
+    tier-invariant.
+    """
+    horizon = row.horizon
+    if horizon is None:
+        return PREFETCH_WINDOWS
+    return min(PREFETCH_WINDOWS, horizon - len(row.result.windows))
+
+
 def plan_refills(
     rows: Sequence[SessionRow], needed: int
 ) -> List[Tuple[SessionRow, int, int]]:
@@ -519,8 +627,8 @@ def prefetch_flags(
     """One stacked Gilbert draw covering every listed row's deficit.
 
     Every row draws the same-size chunk (the largest of
-    ``max(missing, PREFETCH_WINDOWS * needed)`` over the entries), so
-    the stacked :func:`repro.accel.gilbert_states_batch` call stays
+    ``max(missing, prefetch_windows(row) * needed)`` over the entries),
+    so the stacked :func:`repro.accel.gilbert_states_batch` call stays
     rectangular.  Draws come off each row's private stream in order, so
     prefetch depth never changes any row's loss sequence.
 
@@ -538,8 +646,8 @@ def prefetch_flags(
         if row.native_rng is not None:
             writeback_native_rng(row)
     chunk = max(
-        max(missing, PREFETCH_WINDOWS * needed)
-        for _, missing, needed in entries
+        max(missing, prefetch_windows(row) * needed)
+        for row, missing, needed in entries
     )
     if phases is None:
         # ``iter(rng.random, 2.0)`` never hits its sentinel, so islice

@@ -319,7 +319,7 @@ def _prefetch_native(rows, needed: int, config) -> None:
     if not entries:
         return
     chunk = max(
-        max(missing, K.PREFETCH_WINDOWS * needed) for _, missing in entries
+        max(missing, K.prefetch_windows(row) * needed) for row, missing in entries
     )
     count = len(entries)
     keys = np.empty((count, 624), dtype=np.int64)

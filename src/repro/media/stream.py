@@ -53,6 +53,19 @@ class MediaStream:
             object.__setattr__(self, "_hash", value)
         return value
 
+    def renamed(self, name: str) -> "MediaStream":
+        """This stream under another ``name``, sharing its LDU tuple.
+
+        The LDUs were validated when this stream was built, so the copy
+        skips ``__post_init__`` rather than re-checking every frame.
+        """
+        clone = object.__new__(type(self))
+        fields = dict(self.__dict__)
+        fields.pop("_hash", None)
+        fields["name"] = name
+        clone.__dict__.update(fields)
+        return clone
+
     def __len__(self) -> int:
         return len(self.ldus)
 

@@ -184,7 +184,9 @@ class _FleetRow(_Row):
 
     def __init__(self, plan: _SessionPlan) -> None:
         request = plan.outcome.request
-        super().__init__(request.config, request.config.seed)
+        super().__init__(
+            request.config, request.config.seed, horizon=len(plan.windows)
+        )
         self.plan = plan
         self.config = request.config
         self.fps = request.stream.fps
@@ -252,6 +254,12 @@ class _FleetExecution:
     with serve-grade shedding and the share-dependent ACK serialization
     bound in.  ``finalize()`` writes each row's results back onto its
     session outcome.
+
+    ``shape_caches`` maps a config family to its shape cache (window
+    shapes, window layouts and their permutation plans; see
+    :class:`repro.core.kernel.WindowLayout`).  A caller advancing many
+    fleets passes one map to all of them so each family builds its
+    shapes once; by default the fleet keeps its own.
     """
 
     __slots__ = (
@@ -264,15 +272,20 @@ class _FleetExecution:
         "_window_ids_by_obj",
     )
 
-    def __init__(self, plans: List[_SessionPlan], shed_policy) -> None:
+    def __init__(
+        self,
+        plans: List[_SessionPlan],
+        shed_policy,
+        shape_caches: Optional[Dict[tuple, dict]] = None,
+    ) -> None:
         self.rows = [_FleetRow(plan) for plan in plans]
         self.shed_policy = shed_policy
-        # Shape caches (schedulers, dependency masks, permutation plans)
-        # are keyed by the config family only, so every bandwidth
-        # variant of a window shares one plan cache.  Window infos
-        # additionally depend on the packetization timing, hence on the
+        # Shape caches (schedulers, dependency masks, window layouts,
+        # permutation plans) are keyed by the config family only, so
+        # every bandwidth variant of a window shares them.  Window infos
+        # additionally depend on the serialization timing, hence on the
         # effective share.
-        self._shape_caches: Dict[tuple, dict] = {}
+        self._shape_caches = {} if shape_caches is None else shape_caches
         self._info_cache: Dict[tuple, _WindowInfo] = {}
         # Intern the expensive-to-hash group-key components once: rows
         # share a batch group iff their (config sans seed, fps), window
@@ -324,10 +337,7 @@ class _FleetExecution:
                 )
                 shapes = self._shape_caches.setdefault(family, {})
                 info = _WindowInfo(
-                    window,
-                    replace(row.config, seed=0, bandwidth_bps=effective),
-                    row.fps,
-                    shapes,
+                    window, row.config, row.fps, shapes, bandwidth_bps=effective
                 )
                 info_cache[key] = info
             members = groups.get(key)

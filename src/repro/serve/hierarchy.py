@@ -416,6 +416,7 @@ def _plan_shard(
     shedding: bool,
     admission: bool,
     rejected: List[Tuple[int, str]],
+    shape_caches: Dict[tuple, dict],
 ) -> Tuple[Optional[_FleetExecution], int]:
     """Replay one shard's scheduling; write the static outcome columns.
 
@@ -423,7 +424,9 @@ def _plan_shard(
     rejected) and its admitted count.  Rejection reasons — the only
     non-numeric outcome data — are collected into ``rejected`` as
     ``(arena_row, reason)`` pairs; admitted reasons need no transport
-    (they are all :data:`~repro.serve.admission.ADMITTED_REASON`).
+    (they are all :data:`~repro.serve.admission.ADMITTED_REASON`).  The
+    fleet builds its window shapes and layouts into the worker's
+    ``shape_caches``.
     """
     from repro.serve.bandwidth import make_scheduler
 
@@ -455,7 +458,11 @@ def _plan_shard(
             plans.append(planner.session_plans[outcome.request.session_id])
         elif outcome.reason:
             rejected.append((row, outcome.reason))
-    execution = _FleetExecution(plans, planner._shed_policy) if plans else None
+    execution = (
+        _FleetExecution(plans, planner._shed_policy, shape_caches)
+        if plans
+        else None
+    )
     return execution, admitted
 
 
@@ -508,6 +515,7 @@ def _run_slab(
     shedding: bool,
     admission: bool,
     rejected: List[Tuple[int, str]],
+    shape_caches: Dict[tuple, dict],
     tier: Optional[str] = None,
 ) -> None:
     """Plan, execute and reduce one slab of shards.
@@ -523,7 +531,14 @@ def _run_slab(
     for task in slab:
         started = time.perf_counter()
         execution, admitted = _plan_shard(
-            task, view, capacity_bps, scheduler_name, shedding, admission, rejected
+            task,
+            view,
+            capacity_bps,
+            scheduler_name,
+            shedding,
+            admission,
+            rejected,
+            shape_caches,
         )
         meta.write_row(
             task.index,
@@ -564,12 +579,17 @@ def _run_worker(task):
     survives and the coordinator can still unlink the arena; the only
     other payload is the tiny rejected-reason list — every number went
     through shared memory.
+
+    Window shapes, layouts and permutation plans are cached per config
+    family for this call only: every shard the worker serves shares
+    them, and they are dropped when the call returns.
     """
     chunk, arena, capacity_bps, scheduler_name, shedding, admission, tier = task
     try:
         view = arena.map()
         try:
             rejected: List[Tuple[int, str]] = []
+            shape_caches: Dict[tuple, dict] = {}
             for slab in _slabs(chunk):
                 _run_slab(
                     slab,
@@ -580,6 +600,7 @@ def _run_worker(task):
                     shedding,
                     admission,
                     rejected,
+                    shape_caches,
                     tier,
                 )
             return ("ok", rejected)
@@ -894,6 +915,20 @@ def run_hierarchy(
             shedding=shedding,
             admission=admission,
         )
+    result, arena = _fan_out(plan, jobs)
+    if obs.enabled():
+        _observe_run(result, arena)
+    return result
+
+
+def _fan_out(
+    plan: HierarchyPlan, jobs: Optional[int]
+) -> Tuple[HierarchyResult, ResultArena]:
+    """Serve ``plan`` through the worker pool; reduce the arena.
+
+    Returns the result and the (already unlinked) arena handle, whose
+    layout the run's observability reports.
+    """
     started = time.perf_counter()
     arena = ResultArena.create(plan)
     try:
@@ -929,31 +964,48 @@ def run_hierarchy(
             }
     finally:
         arena.unlink()
-    wall = time.perf_counter() - started
     result = HierarchyResult(
         plan=plan,
         columns=columns,
         window_totals=window_totals,
         shard_stats=shard_stats,
         rejected_reasons=rejected_reasons,
-        wall_seconds=wall,
+        wall_seconds=time.perf_counter() - started,
     )
-    if obs.enabled():
-        obs.counter("serve.hierarchy.runs").inc()
-        obs.counter("serve.hierarchy.sessions").inc(plan.sessions)
-        obs.counter("serve.hierarchy.shards").inc(plan.shards)
-        obs.counter("serve.hierarchy.workers").inc(plan.workers)
-        shard_seconds = obs.histogram("serve.hierarchy.shard_seconds")
-        for index in range(plan.shards):
-            shard_seconds.observe(
-                shard_stats["plan_seconds"][index]
-                + shard_stats["serve_seconds"][index]
-                + shard_stats["reduce_seconds"][index]
-            )
-        occupied = sum(1 for rows in window_totals["rows"] if rows > 0.0)
-        slots = len(window_totals["rows"]) or 1
-        obs.gauge("serve.hierarchy.arena_bytes").set(float(arena.size_bytes))
-        obs.gauge("serve.hierarchy.arena_rows").set(float(plan.sessions))
-        obs.gauge("serve.hierarchy.arena_occupancy").set(occupied / slots)
-        obs.gauge("serve.hierarchy.fanout_seconds").set(wall)
-    return result
+    return result, arena
+
+
+def _observe_run(result: HierarchyResult, arena: ResultArena) -> None:
+    """Record one run's counters, stage clocks and arena gauges.
+
+    The stage clocks sum the arena's per-shard timing columns, so they
+    cover every worker's share of the run whatever the worker count.
+    """
+    plan = result.plan
+    shard_stats = result.shard_stats
+    window_totals = result.window_totals
+    obs.counter("serve.hierarchy.runs").inc()
+    obs.counter("serve.hierarchy.sessions").inc(plan.sessions)
+    obs.counter("serve.hierarchy.shards").inc(plan.shards)
+    obs.counter("serve.hierarchy.workers").inc(plan.workers)
+    for stage, column in (
+        ("plan", "plan_seconds"),
+        ("execute", "serve_seconds"),
+        ("reduce", "reduce_seconds"),
+    ):
+        obs.timer(f"serve.hierarchy.{stage}").observe_seconds(
+            sum(shard_stats[column])
+        )
+    shard_seconds = obs.histogram("serve.hierarchy.shard_seconds")
+    for index in range(plan.shards):
+        shard_seconds.observe(
+            shard_stats["plan_seconds"][index]
+            + shard_stats["serve_seconds"][index]
+            + shard_stats["reduce_seconds"][index]
+        )
+    occupied = sum(1 for rows in window_totals["rows"] if rows > 0.0)
+    slots = len(window_totals["rows"]) or 1
+    obs.gauge("serve.hierarchy.arena_bytes").set(float(arena.size_bytes))
+    obs.gauge("serve.hierarchy.arena_rows").set(float(plan.sessions))
+    obs.gauge("serve.hierarchy.arena_occupancy").set(occupied / slots)
+    obs.gauge("serve.hierarchy.fanout_seconds").set(result.wall_seconds)

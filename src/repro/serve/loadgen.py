@@ -46,9 +46,7 @@ def _load_stream(gop_count: int, name: str) -> VideoStream:
         if base is None:
             base = make_video_stream(GOP_12, gop_count=gop_count, name="")
             _stream_cache[base_key] = base
-        stream = VideoStream(
-            ldus=base.ldus, fps=base.fps, name=name, pattern=base.pattern
-        )
+        stream = base.renamed(name)
         _stream_cache[key] = stream
         while len(_stream_cache) > _STREAM_CACHE_SIZE:
             _stream_cache.popitem(last=False)

@@ -195,6 +195,137 @@ def stream_windows(stream, config):
     return stream.windows(config.window_frames)
 
 
+def _reference_info(window, config, fps, bandwidth):
+    """``WindowInfo``'s fields computed from scratch, per share."""
+    from repro.network.packet import fragments_needed
+
+    n = len(window)
+    packet_size = config.packet_size_bytes
+    frag_counts, frag_times, frame_ser = [], [], []
+    for ldu in window:
+        count = fragments_needed(ldu.size_bits, packet_size)
+        remaining = ldu.size_bytes
+        times = []
+        for _ in range(count):
+            payload = min(packet_size, max(remaining, 0))
+            times.append(payload * 8.0 / bandwidth)
+            remaining -= payload
+        frag_counts.append(count)
+        frag_times.append(tuple(times))
+        frame_ser.append(ldu.size_bytes * 8.0 / bandwidth)
+    return {
+        "n": n,
+        "cycle": n / fps,
+        "anchors": frozenset(
+            offset for offset in range(n) if window[offset].frame_type.is_anchor
+        ),
+        "frag_counts": tuple(frag_counts),
+        "frag_times": tuple(frag_times),
+        "frame_ser": tuple(frame_ser),
+        "first_attempt_packets": sum(frag_counts),
+    }
+
+
+@st.composite
+def layout_cases(draw):
+    """(stream, config, bandwidths): GOP or independent, odd sizes."""
+    gop = draw(st.booleans())
+    gop_size = 4
+    gops_per_window = draw(st.integers(min_value=1, max_value=2))
+    # Non-multiples of the window length leave a partial tail window.
+    count = draw(st.integers(min_value=1, max_value=3 * gops_per_window * gop_size))
+    if gop:
+        count = gop_size * max(1, count // gop_size)
+    # Zero-size LDUs, sub-packet frames and multi-fragment frames.
+    sizes = draw(
+        st.lists(
+            st.one_of(
+                st.just(0), st.integers(min_value=1, max_value=200_000)
+            ),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    if gop:
+        stream = make_video_stream(
+            SMALL_PATTERN, gop_count=count // gop_size, sizes_bits=sizes
+        )
+    else:
+        stream = MediaStream(
+            ldus=tuple(
+                Ldu(index=i, frame_type=FrameType.X, size_bits=size)
+                for i, size in enumerate(sizes)
+            ),
+            fps=draw(st.sampled_from([24.0, 30.0])),
+        )
+    config = ProtocolConfig(
+        gops_per_window=gops_per_window,
+        gop_size=gop_size,
+        packet_size_bytes=draw(st.integers(min_value=1, max_value=30_000)),
+        layered=gop,
+    )
+    bandwidths = draw(
+        st.lists(
+            st.floats(min_value=1.0, max_value=1e10, allow_nan=False),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    return stream, config, bandwidths
+
+
+class TestWindowLayout:
+    """``WindowInfo`` built off the cached layout equals a fresh build."""
+
+    @given(layout_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_cached_layout_matches_reference(self, case):
+        stream, config, bandwidths = case
+        shapes = {}
+        for window in stream.windows(config.window_frames):
+            shape = None
+            for bandwidth in bandwidths:
+                info = kernel.WindowInfo(
+                    window, config, stream.fps, shapes, bandwidth_bps=bandwidth
+                )
+                expected = _reference_info(window, config, stream.fps, bandwidth)
+                for name, value in expected.items():
+                    # == on tuples of floats is exact equality.
+                    assert getattr(info, name) == value, name
+                assert info.schedules == {}
+                # Every share of one window shares one shape object.
+                if shape is None:
+                    shape = info.shape
+                assert info.shape is shape
+
+    def test_default_bandwidth_is_the_configs(self, small_stream):
+        config = ProtocolConfig(gop_size=4, bandwidth_bps=3_000_000.0)
+        window = next(iter(small_stream.windows(config.window_frames)))
+        shapes = {}
+        implicit = kernel.WindowInfo(window, config, small_stream.fps, shapes)
+        explicit = kernel.WindowInfo(
+            window,
+            replace(config, bandwidth_bps=1.0),
+            small_stream.fps,
+            shapes,
+            bandwidth_bps=3_000_000.0,
+        )
+        assert implicit.frag_times == explicit.frag_times
+        assert implicit.frame_ser == explicit.frame_ser
+
+    def test_layout_cached_once_per_window_and_packet_size(self, small_stream):
+        config = ProtocolConfig(gop_size=4)
+        window = next(iter(small_stream.windows(config.window_frames)))
+        shapes = {}
+        first = kernel.window_layout(window, config, shapes)
+        assert kernel.window_layout(window, config, shapes) is first
+        smaller = replace(config, packet_size_bytes=1024)
+        other = kernel.window_layout(window, smaller, shapes)
+        assert other is not first
+        assert other.shape is first.shape
+        assert sum(other.frag_counts) > sum(first.frag_counts)
+
+
 class TestTierSelection:
     def test_available_tiers(self):
         assert kernel.REFERENCE in kernel.available_tiers()
@@ -284,3 +415,53 @@ class TestFleetState:
     def test_empty_state_rejected(self):
         with pytest.raises(ConfigurationError):
             kernel.FleetState({})
+
+
+class TestPrefetchHorizon:
+    """Prefetch depth is capped at the windows a row still has to step."""
+
+    def test_depth_counts_down_to_one_window(self, small_stream):
+        config = ProtocolConfig(gop_size=4)
+        unbounded = kernel.SessionRow(config, 1)
+        assert kernel.prefetch_windows(unbounded) == kernel.PREFETCH_WINDOWS
+        row = kernel.SessionRow(config, 1, horizon=3)
+        depths = []
+        for _ in range(3):
+            depths.append(kernel.prefetch_windows(row))
+            row.result.windows.append(None)
+        assert depths == [3, 2, 1]
+        long_row = kernel.SessionRow(config, 1, horizon=100)
+        assert kernel.prefetch_windows(long_row) == kernel.PREFETCH_WINDOWS
+
+    def test_loss_heavy_last_window_refills_mid_window(self):
+        """Retransmissions overrun a one-window buffer; parity holds.
+
+        With ``max_windows=1`` the capped prefetch draws exactly the
+        window's first-attempt packets plus slack.  A lossy channel with
+        idle air time retransmits lost anchors past that slack, so the
+        sender refills mid-window off the same private stream.
+        """
+        from repro import obs
+        from repro.core.batch import run_sessions_batch
+        from repro.media.gop import GOP_12
+
+        stream = make_video_stream(GOP_12, gop_count=4)
+        config = ProtocolConfig(
+            p_good=0.5, p_bad=0.9, retransmit_anchors=True, bandwidth_bps=4e6
+        )
+        seeds = list(range(8))
+        expected = [
+            ProtocolSession(stream, replace(config, seed=seed)).run(max_windows=1)
+            for seed in seeds
+        ]
+        for tier in kernel.available_tiers():
+            kernel.set_tier(tier)
+            registry = obs.enable()
+            obs.reset()
+            try:
+                got = run_sessions_batch(stream, config, seeds=seeds, max_windows=1)
+                refills = registry.snapshot()["counters"].get("batch.refills", 0)
+            finally:
+                obs.disable()
+            assert got == expected, f"tier {tier!r} diverged"
+            assert refills > 0, f"tier {tier!r} never refilled mid-window"

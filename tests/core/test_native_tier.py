@@ -172,6 +172,52 @@ class TestMixedTierFleetState:
             handle.unlink()
         assert copied == mixed
 
+    def test_jit_rung_prefetch_obeys_the_horizon(self, stream, monkeypatch):
+        """Capped prefetch draws the same flags on the JIT rung as fused.
+
+        The interpreted ``_mt_gilbert_fill_loop`` stands in for the
+        compiled kernel, so the native bulk-draw prefetch runs here even
+        without numba.
+        """
+        config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
+        windows = list(stream.windows(config.window_frames))[:MAX_WINDOWS]
+        shapes: dict = {}
+        infos = [
+            kernel.WindowInfo(window, config, stream.fps, shapes)
+            for window in windows
+        ]
+        control = kernel.CONTROL_PACKET_BYTES * 8.0 / config.bandwidth_bps
+
+        def run_rows(tier):
+            rows = [
+                kernel.SessionRow(config, seed, horizon=len(infos))
+                for seed in SEEDS
+            ]
+            for index, info in enumerate(infos):
+                kernel.step_window(
+                    rows,
+                    info,
+                    config,
+                    stream.fps,
+                    index,
+                    control_serialization=control,
+                    tier=tier,
+                )
+            return rows
+
+        fused_rows = run_rows(kernel.FUSED)
+        monkeypatch.setattr(
+            kernels, "mt_gilbert_fill", kernels._mt_gilbert_fill_loop
+        )
+        native_rows = run_rows(kernel.NATIVE)
+        assert (
+            kernel.FleetState.from_rows(native_rows).as_dict()
+            == kernel.FleetState.from_rows(fused_rows).as_dict()
+        )
+        needed = infos[0].first_attempt_packets + kernel.PREFETCH_SLACK
+        for row in native_rows:
+            assert row.fwd_drawn < kernel.PREFETCH_WINDOWS * needed
+
 
 @pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")
 class TestLoopPins:

@@ -117,3 +117,21 @@ class TestVideoStream:
         stream = make_video_stream(GOP_12, gop_count=2)
         assert stream[13].gop_index == 1
         assert stream[13].position_in_gop == 1
+
+    def test_renamed_copy_equals_a_fresh_build(self, monkeypatch):
+        base = make_video_stream(GOP_12, gop_count=2, name="base")
+        hash(base)  # memoize the base's hash before copying
+        fresh = VideoStream(
+            ldus=base.ldus, fps=base.fps, name="other", pattern=base.pattern
+        )
+
+        def no_revalidation(self):
+            raise AssertionError("renamed() re-ran __post_init__")
+
+        monkeypatch.setattr(VideoStream, "__post_init__", no_revalidation)
+        renamed = base.renamed("other")
+        assert type(renamed) is VideoStream
+        assert renamed == fresh
+        assert hash(renamed) == hash(fresh) != hash(base)
+        assert renamed.ldus is base.ldus
+        assert base.name == "base"

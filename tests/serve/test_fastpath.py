@@ -432,3 +432,53 @@ class TestObservability:
         assert estimate_demand(stream, config, max_windows=1) == limited
         small = estimate_demand(stream, replace(config, gop_size=6))
         assert estimate_demand(stream, replace(config, gop_size=6)) == small
+
+
+class TestPrefetchHorizon:
+    def test_two_window_fleet_draws_only_its_horizon(self):
+        """Rows stop prefetching at their last window, on every backend.
+
+        Uncapped, a ``max_windows=2`` fleet would draw
+        ``PREFETCH_WINDOWS`` (8) windows' worth of loss flags per row;
+        capped, each row's prefetch stops at its two windows' worth.
+        """
+        from repro.core import kernel
+        from repro.serve import fastpath
+
+        spec = LoadSpec(
+            sessions=12, seed=4, mean_interarrival=1e-3, gop_count=4, max_windows=2
+        )
+        previous = accel.backend_name()
+        try:
+            for name in accel.available_backends():
+                accel.set_backend(name)
+                planner = fastpath._PlanningService(8_000_000.0)
+                planner.submit_all(generate_requests(spec))
+                result = planner.run()
+                plans = [
+                    planner.session_plans[outcome.request.session_id]
+                    for outcome in result.outcomes
+                    if outcome.admitted
+                ]
+                assert plans
+                execution = fastpath._FleetExecution(plans, planner._shed_policy)
+                for ordinal in range(execution.total_windows):
+                    kernel.step_fleet(execution.batches_for(ordinal))
+                shapes = {}
+                for row in execution.rows:
+                    horizon = len(row.plan.windows)
+                    assert horizon == 2
+                    needed = max(
+                        kernel.window_layout(window, row.config, shapes)
+                        .first_attempt_packets
+                        for window in row.plan.windows
+                    ) + kernel.PREFETCH_SLACK
+                    assert len(row.result.windows) == horizon
+                    assert row.fwd_drawn < kernel.PREFETCH_WINDOWS * needed
+                    # Whether the first refill covered both windows or a
+                    # later one topped up the last, fewer than the
+                    # horizon's worth of flags is left unused.
+                    unused = len(row.flags) - row.pos
+                    assert unused < horizon * needed
+        finally:
+            accel.set_backend(previous)

@@ -252,6 +252,64 @@ class TestArena:
         assert set(kernel.audit_segments()) == before
 
 
+class TestCacheScope:
+    """Window shapes are built once per worker, and die with the call."""
+
+    def _spec(self):
+        # 64 two-viewer shards; every window has one shape.
+        return LoadSpec(
+            sessions=128, seed=5, mean_interarrival=1e-3, gop_count=4, max_windows=2
+        )
+
+    def test_one_shape_per_family_and_window_shape(self, monkeypatch):
+        import gc
+        import weakref
+
+        built = []
+        alive = weakref.WeakSet()
+
+        class CountingShape(kernel.WindowShape):
+            def __init__(self, window, config):
+                built.append((len(window), config.closed_gops, config.layered))
+                super().__init__(window, config)
+                alive.add(self)
+
+        monkeypatch.setattr(kernel, "WindowShape", CountingShape)
+        plan = plan_hierarchy(self._spec(), 1_200_000.0, shards=64, workers=1)
+        assert plan.shards == 64 and plan.workers == 1
+        result = run_hierarchy(plan, jobs=1)
+        assert result.admitted_count > 0
+        assert built == [(24, False, True)]
+        # The worker's cache died with the call that built it.
+        gc.collect()
+        assert len(alive) == 0
+
+    def test_no_module_level_cache_grows_across_runs(self):
+        import sys
+
+        def container_sizes():
+            sizes = {}
+            for name, module in list(sys.modules.items()):
+                if not name.startswith("repro"):
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if isinstance(value, (dict, list, set)):
+                        sizes[(name, attr)] = len(value)
+            return sizes
+
+        plan = plan_hierarchy(self._spec(), 1_200_000.0, shards=64, workers=1)
+        run_hierarchy(plan, jobs=1)
+        before = container_sizes()
+        run_hierarchy(plan, jobs=1)
+        after = container_sizes()
+        grown = {
+            key: (before.get(key, 0), size)
+            for key, size in after.items()
+            if size > before.get(key, 0)
+        }
+        assert not grown
+
+
 class TestResultSurface:
     def _result(self):
         return run_hierarchy(_tight_spec(), TIGHT_CAPACITY, shards=6, jobs=1)

@@ -4,7 +4,7 @@
 The observability layer (``repro.obs``) promises a near-zero cost when
 metrics are off: instrumented code pays one ``obs.enabled()`` branch
 per *batch* operation.  This guard measures that promise directly on
-three instrumented paths:
+four instrumented paths:
 
 * ``GilbertModel.losses`` — per-batch channel sampling — against a
   re-implementation of the *same body* with only the ``obs`` branch
@@ -13,7 +13,10 @@ three instrumented paths:
   against an identically-shaped dispatch function without the branch;
 * ``serve_sessions_fast`` — whose plan and execute stage clocks are
   created only when metrics are on — against the same two phases with
-  the clock branches elided.
+  the clock branches elided;
+* ``run_hierarchy`` — whose counters, stage clocks and arena gauges are
+  recorded only when metrics are on — against the same plan and
+  fan-out with the recording branch elided.
 
 The baselines deliberately mirror the instrumented code line for line
 (same attribute lookups, same call shape) so the measured delta is the
@@ -44,7 +47,7 @@ from repro import accel, obs  # noqa: E402
 from repro.accel import _backend  # noqa: E402
 from repro.network.markov import BAD, GOOD, GilbertModel  # noqa: E402
 from repro.serve import LoadSpec, PriorityScheduler, generate_requests  # noqa: E402
-from repro.serve import fastpath  # noqa: E402
+from repro.serve import fastpath, hierarchy  # noqa: E402
 
 
 def _plain_losses(model: GilbertModel, count: int) -> list:
@@ -75,6 +78,13 @@ def _plain_serve_fast(requests, capacity_bps, **kwargs):
     ]
     if plans:
         fastpath._execute_fleet(plans, planner._shed_policy)
+    return result
+
+
+def _plain_run_hierarchy(spec, capacity_bps, **kwargs):
+    """``run_hierarchy`` with its ``obs`` branch removed, nothing else."""
+    plan = hierarchy.plan_hierarchy(spec, capacity_bps, **kwargs)
+    result, _ = hierarchy._fan_out(plan, None)
     return result
 
 
@@ -153,6 +163,38 @@ def guard_serve_fast(sessions: int, repeats: int) -> tuple:
         gc.enable()
 
 
+def guard_hierarchy(sessions: int, repeats: int) -> tuple:
+    """The hierarchical fan-out with its observability vs the same run bare.
+
+    One worker, in-process: a process pool would time the host's
+    scheduler, not the recording branch.
+    """
+    spec = LoadSpec(
+        sessions=sessions,
+        seed=3,
+        mean_interarrival=1e-3,
+        gop_count=4,
+        max_windows=2,
+    )
+    capacity_bps = 4_000_000.0
+    kwargs = {"shards": 8, "workers": 1}
+
+    def instrumented() -> None:
+        hierarchy.run_hierarchy(spec, capacity_bps, **kwargs)
+
+    def baseline() -> None:
+        _plain_run_hierarchy(spec, capacity_bps, **kwargs)
+
+    instrumented()
+    baseline()
+    gc.collect()
+    gc.disable()
+    try:
+        return _best_of(repeats, instrumented, baseline)
+    finally:
+        gc.enable()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--threshold", type=float, default=0.02,
@@ -170,6 +212,7 @@ def main(argv=None) -> int:
         ("GilbertModel.losses", *guard_gilbert(args.batch, args.repeats)),
         ("accel.burst_runs", *guard_burst_runs(48, 20, args.calls, args.repeats)),
         ("serve_sessions_fast", *guard_serve_fast(128, args.repeats)),
+        ("run_hierarchy", *guard_hierarchy(256, args.repeats)),
     ]
     failures = 0
     print(f"disabled-metrics overhead guard (threshold {args.threshold:.1%})")
