@@ -19,14 +19,19 @@ bench:
 bench-repo:
 	python3 bench/run.py --seed 0
 
-# The serving-path workloads on the default backend, then without NumPy:
-# seed-0 golden digests plus the event-loop oracles (~1 min).
+# The serving-path workloads on the default backend, then without NumPy,
+# then on the native kernel tier (its per-row share timing path):
+# seed-0 golden digests plus the event-loop oracles (~1.5 min).
 bench-serving:
 	for backend in auto pure; do \
 	  for workload in plan-hierarchy serve-flash; do \
 	    REPRO_BACKEND=$$backend python3 bench/run.py --workload $$workload \
 	      --seed 0 --seconds 2 --trace 0 || exit 1; \
 	  done; \
+	done
+	for workload in plan-hierarchy serve-flash; do \
+	  REPRO_KERNEL=native python3 bench/run.py --workload $$workload \
+	    --seed 0 --seconds 2 --trace 0 || exit 1; \
 	done
 
 # The benchmark harness's own tests (~5 s).

@@ -23,7 +23,10 @@ kernel shared with the serving fast path:
   stacked :func:`repro.accel.batch_worst_clf` kernel;
 * under the kernel's fused tier, rows whose window sees no loss (or no
   lost anchor) collapse onto a shared first-attempt timeline instead of
-  replaying the scalar sender loop.
+  replaying the scalar sender loop;
+* the step loop runs with the cyclic garbage collector paused
+  (:func:`repro.core.kernel.gc_paused`): rows form no reference
+  cycles, so its scans would reclaim nothing.
 
 The control flow that *depends* on each replication's losses
 (retransmission budgets, Equation-1 feedback folding, ACK fates) is
@@ -135,17 +138,18 @@ def run_sessions_batch(
         obs.counter("batch.sweeps").inc()
         obs.counter("batch.replications").inc(len(rows))
 
-    for window_index, info in enumerate(infos):
-        kernel.step_window(
-            rows,
-            info,
-            config,
-            stream.fps,
-            window_index,
-            control_serialization=control_serialization,
-        )
-        if track:
-            obs.counter("batch.windows").inc()
+    with kernel.gc_paused():
+        for window_index, info in enumerate(infos):
+            kernel.step_window(
+                rows,
+                info,
+                config,
+                stream.fps,
+                window_index,
+                control_serialization=control_serialization,
+            )
+            if track:
+                obs.counter("batch.windows").inc()
 
     if track:
         streamed = sum(info.n for info in infos) / stream.fps

@@ -39,9 +39,13 @@ both accel backends, with and without NumPy):
     * *timeline collapse* — rows with losses but no lost anchor (or
       retransmissions disabled) reuse the shared timeline and only
       score their own deliveries;
-    * *scalar* — rows that shed, carry link backlog into the window,
-      or must retransmit a lost anchor replay the reference sender
-      loop (retransmission timing is data-dependent).
+    * *scalar* — rows that carry link backlog into the window or must
+      retransmit a lost anchor replay the reference sender loop
+      (retransmission timing is data-dependent).
+
+    Timelines are keyed by (plan, window, shed set) on the row's own
+    :class:`WindowInfo`, so rows at different bottleneck shares, and
+    rows that shed frames, still collapse.
 
     The tier dispatch counters (``kernel.dispatch.*``,
     ``kernel.collapse.*``) expose the split.
@@ -75,14 +79,17 @@ processes without pickling per-session objects.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -127,6 +134,7 @@ __all__ = [
     "audit_segments",
     "available_tiers",
     "drain_acks",
+    "gc_paused",
     "loss_run_count",
     "new_segment",
     "plan_refills",
@@ -217,6 +225,28 @@ def set_tier(name: str) -> str:
 def tier_name() -> str:
     """The tier :func:`step_window` currently dispatches to."""
     return _active_tier
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause Python's cyclic garbage collector for the enclosed block.
+
+    The fleet loops (``core.batch``, the serving fast path, hierarchy
+    slabs) allocate many short-lived containers per row-step but build
+    no reference cycles, so generational scans triggered by those
+    allocations reclaim nothing; reference counting frees every row
+    object.  The collector is disabled only if it was enabled, and is
+    re-enabled on every exit path, so a caller that disabled it finds it
+    still disabled.
+    """
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -376,12 +406,19 @@ def window_layout(
 
 
 class WindowInfo:
-    """Packetization and timing facts of one window, shared by all rows.
+    """Packetization and timing facts of one window at one bandwidth.
 
     The bandwidth-free part comes from the cached :class:`WindowLayout`;
     only the serialization times depend on ``bandwidth_bps`` (default:
     the config's own rate), so a new share costs the divisions of each
     distinct frame kind, not a repacketization.
+
+    A step's batch info supplies the share-free fields (``n``,
+    ``cycle``, ``anchors``, ``frag_counts``, ``first_attempt_packets``,
+    ``shape``).  The timing fields (``frag_times``, ``frame_ser``) and
+    the ``schedules`` cache built from them are read from each row's
+    own info (:attr:`SessionRow.info`) when it carries one, so rows at
+    different shares step together.
     """
 
     __slots__ = (
@@ -421,10 +458,11 @@ class WindowInfo:
         self.frame_ser = tuple([kind_ser[kind] for kind in kinds])
         self.first_attempt_packets = layout.first_attempt_packets
         self.shape = layout.shape
-        #: Fused-tier cache of shared first-attempt timelines, keyed by
-        #: (plan identity, window index).  Plans live in ``shape._plans``
-        #: for the life of this info, so their ids are stable.
-        self.schedules: Dict[Tuple[int, int], _Schedule] = {}
+        #: Cache of shared first-attempt timelines, keyed by (plan
+        #: identity, window index, shed set).  Plans live in
+        #: ``shape._plans`` for the life of this info, so their ids are
+        #: stable.
+        self.schedules: Dict[Tuple[int, int, frozenset], _Schedule] = {}
 
 
 # ----------------------------------------------------------------------
@@ -456,6 +494,8 @@ class SessionRow:
         "native_rng",
         "native_flags",
         "horizon",
+        "info",
+        "__weakref__",
     )
 
     def __init__(
@@ -506,6 +546,10 @@ class SessionRow:
         #: caps the loss-flag prefetch depth (:func:`prefetch_windows`).
         #: ``None`` = unknown, prefetch the full ``PREFETCH_WINDOWS``.
         self.horizon = horizon
+        #: This row's :class:`WindowInfo` for the window being stepped,
+        #: when its share differs from its batch's (the serving fast
+        #: path sets it per window).  ``None`` = the batch's info applies.
+        self.info: Optional[WindowInfo] = None
 
     def refill(self, count: int, config: ProtocolConfig) -> None:
         """Draw ``count`` more loss flags off the private forward stream.
@@ -1123,11 +1167,17 @@ class _Schedule:
     back-to-back from the window start and the budget check is pure
     arithmetic.  The timeline is therefore shared by every row whose
     window stays in that regime, float-for-float.
+
+    ``shed`` is the row's shed set.  Each shed offset counts once as
+    dropped at the sender and once as shed, and takes no air time —
+    exactly :func:`run_row_sender`'s shed branch — so shedding rows
+    share timelines keyed by their shed set.
     """
 
     __slots__ = (
         "attempts",
         "dropped",
+        "shed",
         "span",
         "final_busy",
         "sent_count",
@@ -1142,6 +1192,7 @@ class _Schedule:
         plan: LayeredPlan,
         window_start: float,
         window_end: float,
+        shed: frozenset,
     ) -> None:
         frame_ser = info.frame_ser
         frag_times = info.frag_times
@@ -1149,8 +1200,13 @@ class _Schedule:
         busy = window_start
         attempts: List[Tuple[int, float, int, int]] = []
         dropped = 0
+        shed_count = 0
         pack = 0
         for offset in plan.order:
+            if offset in shed:
+                dropped += 1
+                shed_count += 1
+                continue
             if busy + frame_ser[offset] > window_end:
                 dropped += 1
                 continue
@@ -1163,6 +1219,7 @@ class _Schedule:
             busy = completed
         self.attempts = tuple(attempts)
         self.dropped = dropped
+        self.shed = shed_count
         self.span = pack
         self.final_busy = busy
         self.sent_count = len(attempts)
@@ -1252,11 +1309,12 @@ def _schedule_for(
     window_index: int,
     window_start: float,
     window_end: float,
+    shed: frozenset = frozenset(),
 ) -> _Schedule:
-    key = (id(plan), window_index)
+    key = (id(plan), window_index, shed)
     sched = info.schedules.get(key)
     if sched is None:
-        sched = _Schedule(info, plan, window_start, window_end)
+        sched = _Schedule(info, plan, window_start, window_end, shed)
         info.schedules[key] = sched
     return sched
 
@@ -1301,9 +1359,10 @@ def _step_fused(
     plan_for = shape.plan_for
     no_shed = frozenset()
     # Most rows carry the same burst bounds (clean feedback histories
-    # agree), so memoize the last plan's schedule locally.
+    # agree), share and shed set, so memoize the last schedule locally.
     last_plan = None
-    last_sequences: Optional[Tuple[Tuple[int, ...], ...]] = None
+    last_info: Optional[WindowInfo] = None
+    last_shed: Optional[frozenset] = None
     last_sched: Optional[_Schedule] = None
 
     for row in rows:
@@ -1311,16 +1370,20 @@ def _step_fused(
         bounds = row_bounds(row, config, shape)
         plan, sequences = plan_for(bounds, scramble)
         shed = shed_for(row, plan) if shed_for is not None else no_shed
-        if plan is last_plan:
-            sequences = last_sequences
+        row_info = row.info or info
+        if plan is last_plan and row_info is last_info and shed == last_shed:
             sched = last_sched
         else:
-            sched = _schedule_for(info, plan, window_index, window_start, window_end)
-            last_plan, last_sequences, last_sched = plan, sequences, sched
+            sched = _schedule_for(
+                row_info, plan, window_index, window_start, window_end, shed
+            )
+            last_plan, last_info, last_shed, last_sched = (
+                plan, row_info, shed, sched
+            )
 
         cohort = "scalar"
         lost_counts: Optional[List[int]] = None
-        if not shed and row.fwd_busy <= window_start:
+        if row.fwd_busy <= window_start:
             pos = row.pos
             flags = row.flags
             span = sched.span
@@ -1378,6 +1441,7 @@ def _step_fused(
                 )
                 result.sent = sched.sent_count
                 result.dropped_at_sender = sched.dropped
+                result.shed = sched.shed
                 result.received = verdict.received
                 result.playback_start = playback_start
                 result.arrival_times = verdict.arrival_times
@@ -1444,6 +1508,7 @@ def _step_fused(
                 row.fwd_busy = sched.final_busy
             result.sent = sched.sent_count
             result.dropped_at_sender = sched.dropped
+            result.shed = sched.shed
             result.lost_in_network = lost_frames
             row.result.packets_offered += span
             row.result.packets_lost += lost_total
@@ -1461,16 +1526,16 @@ def _step_fused(
                 )
             )
         else:
-            # Scalar fallback: shedding, link backlog, short flag
-            # buffers or a lost anchor (retransmission timing is
-            # data-dependent) — replay the reference sender loop.
+            # Scalar fallback: link backlog, short flag buffers or a
+            # lost anchor (retransmission timing is data-dependent) —
+            # replay the reference sender loop.
             scalar_rows += 1
             pending.append(
                 (
                     row,
                     run_row_sender(
                         row,
-                        info,
+                        row_info,
                         config,
                         window_index,
                         window_start,
@@ -1533,7 +1598,13 @@ def _step_reference(
         (
             row,
             run_row_sender(
-                row, info, config, window_index, window_start, window_end, shed_for
+                row,
+                row.info or info,
+                config,
+                window_index,
+                window_start,
+                window_end,
+                shed_for,
             ),
         )
         for row in rows
@@ -1566,11 +1637,14 @@ def step_window(
     """Advance a uniform group of rows through one buffer window.
 
     Every engine's window advancement funnels through here.  ``rows``
-    must agree on everything but their seeds: one ``config`` (its
-    ``seed`` field is ignored — each row carries its own channel
-    state), one ``info`` (so one effective bandwidth), one playback
-    rate.  ``control_serialization`` is the ACK's serialization time —
-    a float for fixed-rate fleets, or a ``row -> float`` callable when
+    must agree on everything but their seeds and shares: one
+    ``config`` (its ``seed`` field is ignored — each row carries its
+    own channel state), one window and one playback rate.  ``info``
+    supplies the window's share-free facts and, for rows whose
+    :attr:`SessionRow.info` is unset, the timing too; a row that
+    carries its own info (same window, its own bandwidth) is timed by
+    it.  ``control_serialization`` is the ACK's serialization time — a
+    float for fixed-rate fleets, or a ``row -> float`` callable when
     shares differ per row (the serving fast path).  ``shed_for`` is
     the load-shedding hook (see :func:`run_row_sender`).
 
@@ -1613,7 +1687,8 @@ class FleetBatch:
 
     The slab counterpart of a single :func:`step_window` call: ``rows``
     must satisfy the same uniformity contract (one config family, one
-    window info, one playback rate).  A slab is a list of batches —
+    window, one playback rate; per-row shares ride on
+    :attr:`SessionRow.info`).  A slab is a list of batches —
     typically every group of every fleet a worker advances in one
     window epoch — handed to :func:`step_fleet` together so the
     loss-flag prefetch can stack across all of them.

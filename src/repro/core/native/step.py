@@ -22,15 +22,17 @@ Phases
    plan, not once per row.
 3. *Classify.*  The fused tier's cohort split, unchanged: clean rows
    take the shared timeline and shared verdict, dirty rows defer to the
-   columnar receiver, shed/backlogged/anchor-retransmitting rows replay
-   the scalar sender.
+   columnar receiver, backlogged/anchor-retransmitting rows replay the
+   scalar sender.  Timelines come from each row's own info and shed
+   set, as in the fused tier.
 4. *Columnar receiver.*  Each dirty cohort's loss flags form a
    ``[D, span]`` bool matrix: per-attempt lost counts, on-time
    deliveries, received bitmasks, decodability against the shape's
    need-masks, CLF and per-layer burst scans all run as matrix kernels;
    only the final per-row ``WindowResult`` materialization is Python.
 5. *Scalar tail.*  Rows the fused tier would also have run scalar go
-   through the identical ``run_row_sender`` / ``_receive_and_ack`` path.
+   through the identical ``run_row_sender`` / ``_receive_and_ack`` path,
+   with their own info and shed set.
 
 Columnar controller state
 -------------------------
@@ -39,7 +41,8 @@ While the native tier steps a row, its Equation-1 estimators live in
 tuple (identity-compared), ``vals`` a flat float64 list of
 ``(present, window, estimate, observations)`` per layer.  The
 controller objects remain reachable — ``AdaptiveController._sync`` is
-pointed at a write-back closure, so any external read (the scenario
+pointed at a write-back callback (holding the row weakly, so no
+reference cycle forms), so any external read (the scenario
 harness's b-hat series, the serve shed policy, a tier switch mid-run)
 dissolves the columns back into objects first.  The Gilbert-fit
 estimator and the feedback collector stay object-resident: both are
@@ -57,6 +60,7 @@ once per process per reason.
 from __future__ import annotations
 
 import warnings
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - exercised via the backend matrix in CI
@@ -121,12 +125,23 @@ def _dissolve_row(row) -> None:
         est.observations = int(vals[base + 3])
 
 
-def _make_sync(row, controller):
-    def sync() -> None:
-        if controller._sync is sync:
-            _dissolve_row(row)
+class _RowSync:
+    """``AdaptiveController._sync`` callback of one natively-owned row.
 
-    return sync
+    The row owns its controller, so the callback holds the row weakly:
+    a strong back-reference would make one reference cycle per row,
+    which only the cyclic collector could free.
+    """
+
+    __slots__ = ("row",)
+
+    def __init__(self, row) -> None:
+        self.row = weakref.ref(row)
+
+    def __call__(self) -> None:
+        row = self.row()
+        if row is not None and row.controller._sync is self:
+            _dissolve_row(row)
 
 
 def _ctl_of(row, cols, alpha) -> Optional[List[float]]:
@@ -161,7 +176,7 @@ def _ctl_of(row, cols, alpha) -> Optional[List[float]]:
                 )
             )
     row.native_ctl = (cols, vals)
-    controller._sync = _make_sync(row, controller)
+    controller._sync = _RowSync(row)
     return vals
 
 
@@ -586,31 +601,43 @@ def step_native(
     # ------------------------------------------------------------------
     # Phase 2: burst bounds and plan assets, grouped by bound vector
     # ------------------------------------------------------------------
-    def asset_for(bounds):
+    # Assets are (plan, sequences, unshed schedule); the schedule is
+    # timed by the row's own info, so caches key on (bounds, info).
+    def asset_for(bounds, row_info):
         plan, sequences = shape.plan_for(bounds, scramble)
         sched = K._schedule_for(
-            info, plan, window_index, window_start, window_end
+            row_info, plan, window_index, window_start, window_end
         )
         return plan, sequences, sched
 
     assets: List[Optional[tuple]] = [None] * len(rows)
+
+    def unbounded(indices) -> None:
+        """Assets of rows planned without burst bounds."""
+        cache: Dict[object, tuple] = {}
+        for i in indices:
+            row_info = rows[i].info or info
+            asset = cache.get(row_info)
+            if asset is None:
+                asset = cache[row_info] = asset_for({}, row_info)
+            assets[i] = asset
+
     if not scramble:
-        shared = asset_for({})
-        for i in range(len(rows)):
-            assets[i] = shared
+        unbounded(range(len(rows)))
     elif config.burst_policy == "quantile":
         epsilon = config.quantile_epsilon
-        cache: Dict[int, tuple] = {}
+        cache: Dict[object, tuple] = {}
         for i, row in enumerate(rows):
             quantile = row.estimator.burst_quantile(epsilon)
-            asset = cache.get(quantile)
+            row_info = row.info or info
+            asset = cache.get((quantile, row_info))
             if asset is None:
                 bounds = {
                     layer_index: (quantile if quantile < size else size)
                     for _, layer_index, size, _ in shn.bounds_layers
                 }
-                asset = asset_for(bounds)
-                cache[quantile] = asset
+                asset = asset_for(bounds, row_info)
+                cache[(quantile, row_info)] = asset
             assets[i] = asset
     else:
         ctl_rows: List[int] = []
@@ -625,9 +652,7 @@ def step_native(
                 ctl_pack.append(ctl)
         if ctl_rows:
             if not shn.bounds_layers:
-                shared = asset_for({})
-                for i in ctl_rows:
-                    assets[i] = shared
+                unbounded(ctl_rows)
             else:
                 matrix = np.array(ctl_pack, dtype=np.float64)
                 bound_vecs = []
@@ -665,20 +690,21 @@ def step_native(
                 ]
                 cache = {}
                 for position, i in enumerate(ctl_rows):
-                    key = keys[position]
+                    row_info = rows[i].info or info
+                    key = (keys[position], row_info)
                     asset = cache.get(key)
                     if asset is None:
                         bounds = {
                             layer_index: bound_lists[q][position]
                             for q, layer_index in enumerate(layer_indices)
                         }
-                        asset = asset_for(bounds)
+                        asset = asset_for(bounds, row_info)
                         cache[key] = asset
                     assets[i] = asset
         for i in object_rows:
             row = rows[i]
             bounds = K.row_bounds(row, config, shape)
-            assets[i] = asset_for(bounds)
+            assets[i] = asset_for(bounds, row.info or info)
 
     # ------------------------------------------------------------------
     # Phase 3: classify rows — clean (shared verdict) / dirty / scalar
@@ -697,7 +723,12 @@ def step_native(
     for i, row in enumerate(rows):
         plan, sequences, sched = assets[i]
         shed = shed_for(row, plan) if shed_for is not None else no_shed
-        if not shed and row.fwd_busy <= window_start:
+        if shed:
+            sched = K._schedule_for(
+                row.info or info, plan, window_index, window_start,
+                window_end, shed,
+            )
+        if row.fwd_busy <= window_start:
             pos = row.pos
             flags = row.flags
             span = sched.span
@@ -726,6 +757,7 @@ def step_native(
                         )
                         result.sent = sched.sent_count
                         result.dropped_at_sender = sched.dropped
+                        result.shed = sched.shed
                         result.received = verdict.received
                         result.playback_start = playback_start
                         result.arrival_times = verdict.arrival_times
@@ -767,8 +799,8 @@ def step_native(
                     continue
                 entry = dirty.get(id(sched))
                 if entry is None:
-                    dirty[id(sched)] = entry = (plan, sequences, sched, [])
-                entry[3].append(row)
+                    dirty[id(sched)] = entry = (plan, sequences, sched, shed, [])
+                entry[4].append(row)
                 continue
         scalar_pending.append((row, plan, sequences, shed))
 
@@ -776,7 +808,7 @@ def step_native(
     # Phase 4: columnar receiver for the dirty cohorts
     # ------------------------------------------------------------------
     timeline_collapse = 0
-    for plan, sequences, sched, group_rows in dirty.values():
+    for plan, sequences, sched, shed, group_rows in dirty.values():
         native = _sched_native(sched, info, sequences, rtt_half, slot_times)
         span = sched.span
         d = len(group_rows)
@@ -886,7 +918,7 @@ def step_native(
                     zip(group_rows, anchor_bad.tolist())
                 ):
                     if bad:
-                        scalar_pending.append((row, plan, sequences, no_shed))
+                        scalar_pending.append((row, plan, sequences, shed))
                     else:
                         kept_rows.append(row)
                         kept_positions.append(i)
@@ -930,6 +962,7 @@ def step_native(
         )
         base.sent = sent_count
         base.dropped_at_sender = sched.dropped
+        base.shed = sched.shed
         base.playback_start = playback_start
         template = base.__dict__
         acks_sent = 0
@@ -1051,7 +1084,7 @@ def step_native(
         obs.counter("channel.losses").inc(losses_total)
 
     # ------------------------------------------------------------------
-    # Phase 5: scalar tail (shed, backlog, lost anchors, short buffers)
+    # Phase 5: scalar tail (backlog, lost anchors, short buffers)
     # ------------------------------------------------------------------
     if scalar_pending:
         pairs = [
@@ -1059,7 +1092,7 @@ def step_native(
                 row,
                 K.run_row_sender(
                     row,
-                    info,
+                    row.info or info,
                     config,
                     window_index,
                     window_start,

@@ -196,19 +196,14 @@ class Poset(Generic[T]):
         """
         if not self._elements:
             return 0
-        # Longest path in the DAG of strict relations; memoized DFS.
-        memo: Dict[T, int] = {}
-
-        def height(x: T) -> int:
-            if x in memo:
-                return memo[x]
-            best = 1
-            for y in self._above[x]:
-                best = max(best, 1 + height(y))
-            memo[x] = best
-            return best
-
-        return max(height(x) for x in self._elements)
+        # Longest path in the DAG of strict relations, one pass over a
+        # topological order: ``above`` is transitively closed, so
+        # everything above ``x`` has a strictly smaller ``above`` set.
+        above = self._above
+        height: Dict[T, int] = {}
+        for x in sorted(self._elements, key=lambda x: len(above[x])):
+            height[x] = 1 + max((height[y] for y in above[x]), default=0)
+        return max(height.values())
 
     def ranks(self) -> Dict[T, int]:
         """Rank of each element: minimal elements get 0, covers add one.
@@ -219,17 +214,16 @@ class Poset(Generic[T]):
         the longest chain ending at the element, which always yields a
         valid antichain decomposition.
         """
-        memo: Dict[T, int] = {}
-
-        def rank(x: T) -> int:
-            if x in memo:
-                return memo[x]
-            below = self._below[x]
-            value = 0 if not below else 1 + max(rank(y) for y in below)
-            memo[x] = value
-            return value
-
-        return {x: rank(x) for x in self._elements}
+        # One pass over a topological order: ``below`` is transitively
+        # closed, so everything below ``x`` has a strictly smaller
+        # ``below`` set and is ranked first.  (Iterative, so no
+        # self-referencing closure is left for the cyclic collector.)
+        below = self._below
+        rank: Dict[T, int] = {}
+        for x in sorted(self._elements, key=lambda x: len(below[x])):
+            under = below[x]
+            rank[x] = 0 if not under else 1 + max(rank[y] for y in under)
+        return {x: rank[x] for x in self._elements}
 
     def is_ranked(self) -> bool:
         """Whether the rank function is consistent with the cover relation.

@@ -30,12 +30,13 @@ The fast path exploits exactly that factorisation:
    onto shared first-attempt timelines when their losses allow.  Load
    shedding runs through the same
    :class:`~repro.serve.shedding.LayeredShedPolicy` via the
-   kernel's ``shed_for`` hook.  Windows whose rows all share one
-   (window shape, share) key batch across the whole fleet
-   (``serve.fastpath.windows_batched``); windows made dynamic by
-   arrivals, departures or scheduler rebalancing fall back to
-   per-session execution (``serve.fastpath.windows_fallback``) — the
-   same arithmetic the event loop performs, minus the batching.
+   kernel's ``shed_for`` hook, bound per row.  Rows batch on (config
+   family, window) alone: each row's bottleneck share and shed set are
+   per-row columns the kernel reads, so one window ordinal is one
+   kernel step per distinct window (``serve.fastpath.windows_batched``
+   counts rows stepped in a batch of two or more,
+   ``serve.fastpath.windows_fallback`` singleton batches).  The execute
+   half runs with the cyclic garbage collector paused.
 
 Either way the produced :class:`~repro.serve.service.ServiceResult` is
 pinned bit-for-bit against :class:`StreamingService` on every accel
@@ -179,10 +180,12 @@ class _FleetRow(_Row):
         "bandwidth_bps",
         "min_share_bps",
         "shed_total",
+        "shed_policy",
+        "window",
         "group_id",
     )
 
-    def __init__(self, plan: _SessionPlan) -> None:
+    def __init__(self, plan: _SessionPlan, shed_policy) -> None:
         request = plan.outcome.request
         super().__init__(
             request.config, request.config.seed, horizon=len(plan.windows)
@@ -196,6 +199,10 @@ class _FleetRow(_Row):
         self.bandwidth_bps = request.config.bandwidth_bps
         self.min_share_bps = request.config.bandwidth_bps
         self.shed_total = 0
+        #: The shard's shed policy (``None``: shedding disabled).
+        self.shed_policy = shed_policy
+        #: The window this row steps in the current epoch.
+        self.window: Tuple[Ldu, ...] = ()
         self.group_id = 0
 
     def apply_share(self, share_bps: float) -> float:
@@ -206,30 +213,33 @@ class _FleetRow(_Row):
         return share_bps
 
 
-def _make_shed_for(shed_policy, window: Sequence[Ldu], fps: float):
-    """Bind the service's shed policy to the row engine's hook.
+_NO_SHED: frozenset = frozenset()
 
-    Mirrors :meth:`ServedSession._shed_frames`: the policy sees the
-    row's current bottleneck share, its provisioned rate and its own
-    feedback-fed channel estimator.
+
+def _shed_for(row: _FleetRow, plan) -> frozenset:
+    """The kernel's ``shed_for`` hook, bound per row.
+
+    Mirrors :meth:`ServedSession._shed_frames`: the row's own shed
+    policy sees its current window, bottleneck share, provisioned rate
+    and feedback-fed channel estimator, so rows of different shards and
+    shares can share one batch.
     """
-
-    def shed_for(row: _FleetRow, plan) -> frozenset:
-        shed = shed_policy.select(
-            window,
-            plan,
-            row.bandwidth_bps,
-            fps,
-            native_bps=row.native_bps,
-            estimator=row.estimator,
-        )
-        if shed:
-            row.shed_total += len(shed)
-            if obs.enabled():
-                obs.counter("serve.shed_frames").inc(len(shed))
-        return shed
-
-    return shed_for
+    policy = row.shed_policy
+    if policy is None:
+        return _NO_SHED
+    shed = policy.select(
+        row.window,
+        plan,
+        row.bandwidth_bps,
+        row.fps,
+        native_bps=row.native_bps,
+        estimator=row.estimator,
+    )
+    if shed:
+        row.shed_total += len(shed)
+        if obs.enabled():
+            obs.counter("serve.shed_frames").inc(len(shed))
+    return shed
 
 
 def _ack_serialization(row: _FleetRow) -> float:
@@ -238,81 +248,62 @@ def _ack_serialization(row: _FleetRow) -> float:
     return _CONTROL_PACKET_BYTES * 8.0 / row.bandwidth_bps
 
 
-class _FleetExecution:
-    """One admitted fleet advancing in window-ordinal lockstep.
+class _FleetTables:
+    """Intern tables shared by every fleet that steps in one slab.
 
-    The execute half of the plan-then-execute fast path, packaged so
-    both drivers share it: :func:`_execute_fleet` steps one fleet per
-    epoch, the hierarchical fan-out (:mod:`repro.serve.hierarchy`)
-    interleaves *many* fleets per epoch through one
-    :func:`repro.core.kernel.step_fleet` slab call.
-
-    ``batches_for(ordinal)`` groups the fleet's live rows into uniform
-    :class:`~repro.core.kernel.FleetBatch` groups — rows share a batch
-    iff their (config sans seed, fps), window tuple and effective share
-    all agree (the grouping invariant :func:`step_window` requires) —
-    with serve-grade shedding and the share-dependent ACK serialization
-    bound in.  ``finalize()`` writes each row's results back onto its
-    session outcome.
+    Rows share a batch iff their config family (config sans seed, fps)
+    and window agree; each row's share only picks its
+    :class:`~repro.core.kernel.WindowInfo`.  Hashing whole configs and
+    24-LDU window tuples on every row-step would dominate the
+    bookkeeping, so both are interned to small ids once, and window
+    infos are cached per (family id, share, window id).
 
     ``shape_caches`` maps a config family to its shape cache (window
     shapes, window layouts and their permutation plans; see
-    :class:`repro.core.kernel.WindowLayout`).  A caller advancing many
-    fleets passes one map to all of them so each family builds its
-    shapes once; by default the fleet keeps its own.
+    :class:`repro.core.kernel.WindowLayout`); a caller advancing several
+    slabs passes one map to all of them so each family builds its
+    shapes once.  The tables themselves must live no longer than the
+    windows of the slab's fleets: window ids are keyed by identity.
     """
 
     __slots__ = (
-        "rows",
-        "shed_policy",
-        "total_windows",
-        "_shape_caches",
-        "_info_cache",
-        "_window_ids",
-        "_window_ids_by_obj",
+        "shape_caches",
+        "config_ids",
+        "window_ids",
+        "window_ids_by_obj",
+        "infos",
     )
 
-    def __init__(
-        self,
-        plans: List[_SessionPlan],
-        shed_policy,
-        shape_caches: Optional[Dict[tuple, dict]] = None,
-    ) -> None:
-        self.rows = [_FleetRow(plan) for plan in plans]
-        self.shed_policy = shed_policy
-        # Shape caches (schedulers, dependency masks, window layouts,
-        # permutation plans) are keyed by the config family only, so
-        # every bandwidth variant of a window shares them.  Window infos
-        # additionally depend on the serialization timing, hence on the
-        # effective share.
-        self._shape_caches = {} if shape_caches is None else shape_caches
-        self._info_cache: Dict[tuple, _WindowInfo] = {}
-        # Intern the expensive-to-hash group-key components once: rows
-        # share a batch group iff their (config sans seed, fps), window
-        # tuple and effective share all agree, but hashing whole configs
-        # and 24-LDU window tuples on every row-step would dominate the
-        # bookkeeping.
-        config_ids: Dict[tuple, int] = {}
-        for row in self.rows:
-            base = (replace(row.config, seed=0), row.fps)
-            row.group_id = config_ids.setdefault(base, len(config_ids))
-        self._window_ids: Dict[Tuple[Ldu, ...], int] = {}
+    def __init__(self, shape_caches: Optional[Dict[tuple, dict]] = None) -> None:
+        self.shape_caches = {} if shape_caches is None else shape_caches
+        self.config_ids: Dict[tuple, int] = {}
+        self.window_ids: Dict[Tuple[Ldu, ...], int] = {}
         # Identity memo over the content map: the service interns window
         # tuples per stream shape, so most rows carry the *same* tuple
         # objects and the 24-LDU content hash runs once per distinct
         # object (ids are stable here — the plans keep every window
         # alive).
-        self._window_ids_by_obj: Dict[int, int] = {}
-        self.total_windows = max(len(row.plan.windows) for row in self.rows)
+        self.window_ids_by_obj: Dict[int, int] = {}
+        self.infos: Dict[tuple, _WindowInfo] = {}
 
-    def batches_for(self, ordinal: int) -> List[kernel.FleetBatch]:
-        """The epoch's uniform row groups, shares applied, ready to step."""
-        groups: Dict[tuple, List[_FleetRow]] = {}
-        group_info: Dict[tuple, _WindowInfo] = {}
-        group_window: Dict[tuple, Tuple[Ldu, ...]] = {}
-        info_cache = self._info_cache
-        window_ids_by_obj = self._window_ids_by_obj
-        for row in self.rows:
+    def config_id(self, row: _FleetRow) -> int:
+        config_ids = self.config_ids
+        return config_ids.setdefault(
+            (replace(row.config, seed=0), row.fps), len(config_ids)
+        )
+
+    def group(
+        self,
+        rows: Sequence[_FleetRow],
+        ordinal: int,
+        groups: Dict[Tuple[int, int], List[_FleetRow]],
+    ) -> None:
+        """Apply each live row's share for ``ordinal`` and file it in
+        ``groups`` under (family id, window id)."""
+        infos = self.infos
+        window_ids = self.window_ids
+        window_ids_by_obj = self.window_ids_by_obj
+        for row in rows:
             if ordinal >= len(row.plan.windows):
                 continue
             effective = row.apply_share(row.plan.shares[ordinal])
@@ -320,54 +311,100 @@ class _FleetExecution:
             window = row.plan.windows[ordinal]
             wid = window_ids_by_obj.get(id(window))
             if wid is None:
-                wid = self._window_ids.setdefault(window, len(self._window_ids))
+                wid = window_ids.setdefault(window, len(window_ids))
                 window_ids_by_obj[id(window)] = wid
-            key = (row.group_id, effective, wid)
-            info = info_cache.get(key)
+            info_key = (row.group_id, effective, wid)
+            info = infos.get(info_key)
             if info is None:
                 # The family carries the phase schedule too: scenarios
                 # that differ only in channel dynamics get separate
                 # shape/permutation-plan caches (their burst bounds
                 # evolve differently, so sharing would couple them).
+                config = row.config
                 family = (
-                    row.config.closed_gops,
-                    row.config.effort,
-                    row.config.layered,
-                    row.config.channel_phases,
+                    config.closed_gops,
+                    config.effort,
+                    config.layered,
+                    config.channel_phases,
                 )
-                shapes = self._shape_caches.setdefault(family, {})
+                shapes = self.shape_caches.setdefault(family, {})
                 info = _WindowInfo(
-                    window, row.config, row.fps, shapes, bandwidth_bps=effective
+                    window, config, row.fps, shapes, bandwidth_bps=effective
                 )
-                info_cache[key] = info
+                infos[info_key] = info
+            row.info = info
+            row.window = window
+            key = (row.group_id, wid)
             members = groups.get(key)
             if members is None:
                 groups[key] = [row]
-                group_info[key] = info
-                group_window[key] = window
             else:
                 members.append(row)
-        shed_policy = self.shed_policy
-        batches: List[kernel.FleetBatch] = []
-        for key, members in groups.items():
-            window = group_window[key]
-            fps = members[0].fps
-            batches.append(
-                kernel.FleetBatch(
-                    rows=members,
-                    info=group_info[key],
-                    config=members[0].config,  # uniform bar the seed
-                    fps=fps,
-                    window_index=ordinal,
-                    control_serialization=_ack_serialization,
-                    shed_for=(
-                        _make_shed_for(shed_policy, window, fps)
-                        if shed_policy is not None
-                        else None
-                    ),
-                )
-            )
-        return batches
+
+
+def _fleet_batches(
+    fleets: Sequence["_FleetExecution"], ordinal: int
+) -> List[kernel.FleetBatch]:
+    """One epoch's uniform row groups across ``fleets``, ready to step.
+
+    The fleets must share one :class:`_FleetTables`.  Rows group on
+    (family id, window id) only; each row's share rides on its own
+    window info, and shedding on its own policy (:func:`_shed_for`).
+    """
+    groups: Dict[Tuple[int, int], List[_FleetRow]] = {}
+    for fleet in fleets:
+        fleet.tables.group(fleet.rows, ordinal, groups)
+    return [
+        kernel.FleetBatch(
+            rows=members,
+            # Any member's info carries the window's share-free facts.
+            info=members[0].info,
+            config=members[0].config,  # uniform bar the seed
+            fps=members[0].fps,
+            window_index=ordinal,
+            control_serialization=_ack_serialization,
+            shed_for=_shed_for,
+        )
+        for members in groups.values()
+    ]
+
+
+class _FleetExecution:
+    """One admitted fleet advancing in window-ordinal lockstep.
+
+    The execute half of the plan-then-execute fast path, packaged so
+    both drivers share it: :func:`_execute_fleet` steps one fleet per
+    epoch, the hierarchical fan-out (:mod:`repro.serve.hierarchy`)
+    merges *many* fleets per epoch into one
+    :func:`repro.core.kernel.step_fleet` slab call.
+
+    ``batches_for(ordinal)`` groups the fleet's live rows into uniform
+    :class:`~repro.core.kernel.FleetBatch` groups (see
+    :func:`_fleet_batches`).  ``finalize()`` writes each row's results
+    back onto its session outcome.
+
+    ``tables`` holds the intern tables and shape caches; fleets that
+    step together pass one :class:`_FleetTables` so their rows can share
+    batches.  By default the fleet keeps its own.
+    """
+
+    __slots__ = ("rows", "total_windows", "tables")
+
+    def __init__(
+        self,
+        plans: List[_SessionPlan],
+        shed_policy,
+        tables: Optional[_FleetTables] = None,
+    ) -> None:
+        self.rows = [_FleetRow(plan, shed_policy) for plan in plans]
+        self.tables = _FleetTables() if tables is None else tables
+        for row in self.rows:
+            row.group_id = self.tables.config_id(row)
+        self.total_windows = max(len(row.plan.windows) for row in self.rows)
+
+    def batches_for(self, ordinal: int) -> List[kernel.FleetBatch]:
+        """The epoch's uniform row groups, shares applied, ready to step."""
+        return _fleet_batches((self,), ordinal)
 
     def finalize(self) -> None:
         """Write each finished row's results back onto its outcome."""
@@ -391,22 +428,29 @@ def _execute_fleet(plans: List[_SessionPlan], shed_policy) -> None:
     cover their window's first-attempt packets (plus retransmission
     slack) refill together, one stacked Gilbert call per
     channel-parameter family, then every group advances.
+
+    Runs with the cyclic collector paused
+    (:func:`repro.core.kernel.gc_paused`): the fleet builds no reference
+    cycles, so collector scans during execution would reclaim nothing.
     """
-    execution = _FleetExecution(plans, shed_policy)
-    track = obs.enabled()
-    for ordinal in range(execution.total_windows):
-        batches = execution.batches_for(ordinal)
-        refilled = kernel.step_fleet(batches)
-        if track:
-            obs.counter("serve.fastpath.steps").inc()
-            if refilled:
-                obs.counter("serve.fastpath.refill_rows").inc(refilled)
-            for batch in batches:
-                if len(batch.rows) > 1:
-                    obs.counter("serve.fastpath.windows_batched").inc(len(batch.rows))
-                else:
-                    obs.counter("serve.fastpath.windows_fallback").inc()
-    execution.finalize()
+    with kernel.gc_paused():
+        execution = _FleetExecution(plans, shed_policy)
+        track = obs.enabled()
+        for ordinal in range(execution.total_windows):
+            batches = execution.batches_for(ordinal)
+            refilled = kernel.step_fleet(batches)
+            if track:
+                obs.counter("serve.fastpath.steps").inc()
+                if refilled:
+                    obs.counter("serve.fastpath.refill_rows").inc(refilled)
+                for batch in batches:
+                    if len(batch.rows) > 1:
+                        obs.counter("serve.fastpath.windows_batched").inc(
+                            len(batch.rows)
+                        )
+                    else:
+                        obs.counter("serve.fastpath.windows_fallback").inc()
+        execution.finalize()
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,10 @@ The hierarchy splits the two axes:
    timeline (:class:`~repro.serve.fastpath._PlanningService`), then
    advances *all* of its admitted fleets per window epoch through one
    :func:`repro.core.kernel.step_fleet` slab call — cross-shard rows
-   refill off one stacked Gilbert draw per channel family and batch
-   into shared :func:`~repro.accel.batch_worst_clf` stacks, with no
-   per-session Python object crossing a process boundary.  Per-row
+   merge into one batch per (config family, window), refill off one
+   stacked Gilbert draw per channel family and batch into shared
+   :func:`~repro.accel.batch_worst_clf` stacks, with no per-session
+   Python object crossing a process boundary.  Per-row
    draws come off private streams, so interleaving shards changes no
    row's loss sequence (the parity battery in
    ``tests/serve/test_hierarchy.py`` pins this bit-for-bit against
@@ -65,9 +66,11 @@ from repro.serve.admission import ADMITTED_REASON
 from repro.serve.fastpath import (
     _OUTCOME_COLUMNS,
     _FleetExecution,
+    _FleetTables,
     _LeanRequest,
     _LeanResult,
     _PlanningService,
+    _fleet_batches,
     resolve_auto_shards,
     shard_specs,
 )
@@ -416,7 +419,7 @@ def _plan_shard(
     shedding: bool,
     admission: bool,
     rejected: List[Tuple[int, str]],
-    shape_caches: Dict[tuple, dict],
+    tables: _FleetTables,
 ) -> Tuple[Optional[_FleetExecution], int]:
     """Replay one shard's scheduling; write the static outcome columns.
 
@@ -425,8 +428,7 @@ def _plan_shard(
     non-numeric outcome data — are collected into ``rejected`` as
     ``(arena_row, reason)`` pairs; admitted reasons need no transport
     (they are all :data:`~repro.serve.admission.ADMITTED_REASON`).  The
-    fleet builds its window shapes and layouts into the worker's
-    ``shape_caches``.
+    fleet interns its configs and windows into the slab's ``tables``.
     """
     from repro.serve.bandwidth import make_scheduler
 
@@ -459,9 +461,7 @@ def _plan_shard(
         elif outcome.reason:
             rejected.append((row, outcome.reason))
     execution = (
-        _FleetExecution(plans, planner._shed_policy, shape_caches)
-        if plans
-        else None
+        _FleetExecution(plans, planner._shed_policy, tables) if plans else None
     )
     return execution, admitted
 
@@ -521,12 +521,19 @@ def _run_slab(
     """Plan, execute and reduce one slab of shards.
 
     All of the slab's admitted fleets advance per window epoch through
-    **one** :func:`repro.core.kernel.step_fleet` call — cross-shard rows
-    share stacked Gilbert refills and CLF batches.  Per-row draws come
-    off private streams, so the interleaving is invisible to any single
-    session's results.
+    **one** :func:`repro.core.kernel.step_fleet` call, and rows of every
+    shard merge into one batch per (config family, window): each row's
+    share and shed set are its own columns.  Cross-shard rows share
+    stacked Gilbert refills, timelines and CLF batches.  Per-row draws
+    come off private streams, so the interleaving is invisible to any
+    single session's results.
+
+    The intern tables behind the merge live for this slab only: their
+    window ids are keyed by identity, so they must not outlive the
+    slab's windows.
     """
     meta = view.shards
+    tables = _FleetTables(shape_caches)
     live: List[Tuple[ShardTask, _FleetExecution]] = []
     for task in slab:
         started = time.perf_counter()
@@ -538,7 +545,7 @@ def _run_slab(
             shedding,
             admission,
             rejected,
-            shape_caches,
+            tables,
         )
         meta.write_row(
             task.index,
@@ -551,13 +558,10 @@ def _run_slab(
         if execution is not None:
             live.append((task, execution))
     started = time.perf_counter()
-    epochs = max((execution.total_windows for _, execution in live), default=0)
+    fleets = [execution for _, execution in live]
+    epochs = max((execution.total_windows for execution in fleets), default=0)
     for ordinal in range(epochs):
-        batches: List[kernel.FleetBatch] = []
-        for _, execution in live:
-            if ordinal < execution.total_windows:
-                batches.extend(execution.batches_for(ordinal))
-        kernel.step_fleet(batches, tier=tier)
+        kernel.step_fleet(_fleet_batches(fleets, ordinal), tier=tier)
     serve_wall = time.perf_counter() - started
     # The epoch loop is shared across the slab; apportion its wall by
     # each shard's admitted-row share (slab granularity — documented in
@@ -583,6 +587,11 @@ def _run_worker(task):
     Window shapes, layouts and permutation plans are cached per config
     family for this call only: every shard the worker serves shares
     them, and they are dropped when the call returns.
+
+    Each slab runs with the cyclic garbage collector paused
+    (:func:`repro.core.kernel.gc_paused`): planning, stepping and
+    reducing build no reference cycles, so collector scans would
+    reclaim nothing.
     """
     chunk, arena, capacity_bps, scheduler_name, shedding, admission, tier = task
     try:
@@ -591,18 +600,19 @@ def _run_worker(task):
             rejected: List[Tuple[int, str]] = []
             shape_caches: Dict[tuple, dict] = {}
             for slab in _slabs(chunk):
-                _run_slab(
-                    slab,
-                    view,
-                    arena,
-                    capacity_bps,
-                    scheduler_name,
-                    shedding,
-                    admission,
-                    rejected,
-                    shape_caches,
-                    tier,
-                )
+                with kernel.gc_paused():
+                    _run_slab(
+                        slab,
+                        view,
+                        arena,
+                        capacity_bps,
+                        scheduler_name,
+                        shedding,
+                        admission,
+                        rejected,
+                        shape_caches,
+                        tier,
+                    )
             return ("ok", rejected)
         finally:
             view.close()

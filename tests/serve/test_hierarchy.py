@@ -310,6 +310,71 @@ class TestCacheScope:
         assert not grown
 
 
+class TestMergedSlab:
+    """A slab steps every shard's rows in one batch per (family, window)."""
+
+    CAPACITY = 1_400_000.0  # two viewers per shard: shares split, shedding fires
+
+    def _spec(self):
+        return LoadSpec(
+            sessions=128, seed=3, mean_interarrival=1e-3, gop_count=4, max_windows=2
+        )
+
+    def test_one_step_per_family_and_window_per_ordinal(self, monkeypatch):
+        from dataclasses import replace
+
+        calls = []
+        real = kernel.step_window
+
+        def recording(rows, info, config, fps, window_index, **kwargs):
+            keys = {
+                (window_index, replace(row.config, seed=0), row.fps, row.window)
+                for row in rows
+            }
+            calls.append((keys, {row.bandwidth_bps for row in rows}))
+            return real(rows, info, config, fps, window_index, **kwargs)
+
+        monkeypatch.setattr(kernel, "step_window", recording)
+        plan = plan_hierarchy(self._spec(), self.CAPACITY, shards=64, workers=1)
+        result = run_hierarchy(plan, jobs=1)
+        assert result.shed_total > 0
+        # Each call carries one (ordinal, family, window) key, and no
+        # key is stepped twice: one call per distinct key.
+        assert all(len(keys) == 1 for keys, _ in calls)
+        stepped = [next(iter(keys)) for keys, _ in calls]
+        assert len(stepped) == len(set(stepped))
+        assert len(stepped) <= 2 * plan.windows_per_session
+        # Rows at different shares shared a step.
+        assert any(len(shares) > 1 for _, shares in calls)
+
+    def test_matches_the_per_shard_event_loop(self):
+        from repro.serve import generate_requests, serve_sessions
+
+        plan = plan_hierarchy(self._spec(), self.CAPACITY, shards=64, workers=1)
+        hier = run_hierarchy(plan, jobs=1)
+        expected = []
+        for task in plan.shard_tasks:
+            served = serve_sessions(generate_requests(task.spec), self.CAPACITY)
+            for outcome in served.outcomes:
+                result = outcome.result
+                expected.append(
+                    (
+                        outcome.request.session_id,
+                        outcome.request.priority,
+                        outcome.admitted,
+                        outcome.reason,
+                        outcome.shed_frames,
+                        outcome.share_bps,
+                        outcome.min_share_bps,
+                        outcome.demand_bps,
+                        outcome.critical_bps,
+                        result.mean_clf if result else None,
+                        result.stream_clf if result else None,
+                    )
+                )
+        assert _hierarchy_keys(hier) == expected
+
+
 class TestResultSurface:
     def _result(self):
         return run_hierarchy(_tight_spec(), TIGHT_CAPACITY, shards=6, jobs=1)
