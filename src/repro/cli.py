@@ -28,9 +28,10 @@ Commands
     shedding and per-session CLF outcome.  ``--scheduler`` picks the
     bandwidth split (``fair`` or ``priority``), ``--no-shedding`` /
     ``--no-admission`` disable the managed-server arms,
-    ``--fast`` routes the run through the window-batched fast path
-    (bit-for-bit identical results), ``--shards S`` fans the fleet out
-    over ``S`` independent bottleneck shards in worker processes, and
+    ``--fast`` routes a single-bottleneck run through the window-batched
+    fast path (bit-for-bit identical results), ``--shards S`` fans the
+    fleet out over ``S`` independent bottleneck shards
+    (``repro.serve.hierarchy.run_hierarchy``, always batched), and
     ``--manifest-out FILE`` records a service run manifest.
 ``scenario [--smoke] [--seed S] [--replications R] [--out FILE]``
     Run the regime-switching scenario matrix (Equation-1 tracking lag
@@ -38,8 +39,8 @@ Commands
     ``--out`` writes the run manifest (the committed
     ``manifests/scenario_matrix.json``).  ``scenario emit`` writes an
     example ``ScenarioSpec`` JSON and ``scenario run FILE`` serves the
-    fleet a spec file describes (``--shards``/``--event-loop`` pick the
-    engine).
+    fleet a spec file describes (``--shards`` fans it out;
+    ``--event-loop`` picks the engine of a single-bottleneck run).
 ``obs dump EXPERIMENT [--jobs N] [--replications R] [--out FILE]``
     Run one experiment with metrics enabled and write its JSON run
     manifest (stdout by default).
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from typing import List, Optional
 
 from repro._version import __version__
@@ -186,14 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--fast",
         action="store_true",
-        help="use the window-batched fast path (bit-for-bit identical)",
+        help="use the window-batched fast path for a single-bottleneck run "
+        "(bit-for-bit identical; sharded runs are always batched)",
     )
     serve.add_argument(
         "--shards",
         default="1",
         metavar="S",
         help=(
-            "fan the fleet out over S bottleneck shards (processes); "
+            "fan the fleet out over S bottleneck shards (worker processes); "
             "'auto' derives S from the usable CPU cores "
             "(os.process_cpu_count, falling back to os.cpu_count), "
             "capped by the fleet size"
@@ -364,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument(
         "--event-loop",
         action="store_true",
-        help="use the per-packet event loop instead of the fast path "
-        "(bit-for-bit identical results)",
+        help="serve a single-bottleneck run on the per-packet event loop "
+        "instead of the fast path (bit-for-bit identical results; sharded "
+        "runs are always batched)",
     )
     scenario_run.add_argument(
         "--shards",
@@ -474,6 +478,23 @@ def _cmd_experiments(args: argparse.Namespace, out) -> int:
     return 1 if failures else 0
 
 
+def _labelled_outcomes(result) -> list:
+    """``(label, outcome)`` table rows; a sharded run's labels read
+    ``"{shard}:{session_id}"``."""
+    from repro.serve import HierarchyResult
+
+    if not isinstance(result, HierarchyResult):
+        return [
+            (outcome.request.session_id, outcome) for outcome in result.outcomes
+        ]
+    outcomes = iter(result.outcomes)
+    return [
+        (f"{task.index}:{outcome.request.session_id}", outcome)
+        for task in result.plan.shard_tasks
+        for outcome in islice(outcomes, task.spec.sessions)
+    ]
+
+
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     import time
 
@@ -486,7 +507,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         generate_requests,
         make_scheduler,
         resolve_auto_shards,
-        run_sharded,
+        run_hierarchy,
         serve_sessions,
     )
 
@@ -519,20 +540,14 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     )
     started = time.perf_counter()
     if shards > 1:
-        result = run_sharded(
+        result = run_hierarchy(
             spec,
             args.capacity_mbps * 1e6,
             shards=shards,
             scheduler=args.scheduler,
             shedding=not args.no_shedding,
             admission=not args.no_admission,
-            fast=args.fast,
         )
-        labelled = [
-            (f"{index}:{outcome.request.session_id}", outcome)
-            for index, shard in enumerate(result.shards)
-            for outcome in shard.outcomes
-        ]
     else:
         result = serve_sessions(
             generate_requests(spec),
@@ -542,10 +557,8 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             shedding=not args.no_shedding,
             admission=not args.no_admission,
         )
-        labelled = [
-            (outcome.request.session_id, outcome) for outcome in result.outcomes
-        ]
     wall = time.perf_counter() - started
+    labelled = _labelled_outcomes(result)
     rows = []
     for label, outcome in labelled:
         session = outcome.result
@@ -751,16 +764,7 @@ def _cmd_scenario_run(args: argparse.Namespace, out) -> int:
     except ConfigurationError as exc:
         print(str(exc), file=out)
         return 2
-    if args.shards > 1:
-        labelled = [
-            (f"{index}:{outcome.request.session_id}", outcome)
-            for index, shard in enumerate(result.shards)
-            for outcome in shard.outcomes
-        ]
-    else:
-        labelled = [
-            (outcome.request.session_id, outcome) for outcome in result.outcomes
-        ]
+    labelled = _labelled_outcomes(result)
     rows = []
     for label, outcome in labelled:
         session = outcome.result

@@ -69,12 +69,14 @@ calls.
 
 Fleet state
 -----------
-:class:`FleetState` snapshots the numeric per-row columns as a
-struct-of-arrays block that travels through
-:mod:`multiprocessing.shared_memory` (:meth:`FleetState.to_shared` /
-:class:`SharedFleet`), so multi-process servers
-(:class:`repro.serve.fastpath.ShardedService`) can hand fleets across
-processes without pickling per-session objects.
+:class:`FleetState` snapshots the numeric per-row columns
+(:data:`ROW_COLUMNS`) as an immutable struct-of-arrays block: the tier
+ABI that rows stepped under different tiers must agree on.
+:class:`FleetView` is its writable twin over a float64 buffer, the
+zero-copy view the hierarchical fan-out's shared-memory result arena
+(:class:`repro.serve.hierarchy.ResultArena`) is written through;
+:func:`new_segment`, :func:`audit_segments` and :func:`reap_segments`
+manage those segments' names and crash recovery.
 """
 
 from __future__ import annotations
@@ -127,7 +129,6 @@ __all__ = [
     "FleetView",
     "RowWindow",
     "SessionRow",
-    "SharedFleet",
     "WindowInfo",
     "WindowLayout",
     "WindowShape",
@@ -1764,7 +1765,7 @@ def step_fleet(batches: Sequence[FleetBatch], *, tier: Optional[str] = None) -> 
 
 
 # ----------------------------------------------------------------------
-# Columnar fleet state (shared-memory transferable)
+# Columnar fleet state and shared-memory segments
 # ----------------------------------------------------------------------
 
 #: The numeric per-row engine columns :meth:`FleetState.from_rows`
@@ -1780,10 +1781,11 @@ ROW_COLUMNS = (
     "ack_seq",
 )
 
-#: Name prefixes of every shared-memory segment this package creates.
-#: The owner pid is baked into the name (``repro-fleet-<pid>-<token>``)
-#: so :func:`reap_segments` can tell a crashed run's leak from a live
-#: run's in-flight segment.
+#: Name prefixes of every shared-memory segment this package creates
+#: (``repro-fleet`` is no longer created, but segments an older build
+#: leaked under it stay recognizable).  The owner pid is baked into the
+#: name (``repro-arena-<pid>-<token>``) so :func:`reap_segments` can
+#: tell a crashed run's leak from a live run's in-flight segment.
 SEGMENT_PREFIXES = ("repro-fleet", "repro-arena")
 
 _SHM_DIR = "/dev/shm"
@@ -1810,17 +1812,16 @@ def _segment_owner(name: str) -> Optional[int]:
         return None
 
 
-def new_segment(size: int, *, owner_pid: Optional[int] = None, kind: str = "fleet"):
+def new_segment(size: int, *, kind: str = "arena"):
     """Create a shared-memory segment with a recognizable, owned name.
 
-    ``owner_pid`` names the process responsible for unlinking (default:
-    the caller).  Workers creating segments for their coordinator pass
-    the coordinator's pid, so a segment only ever counts as leaked once
-    the process that was meant to consume it is gone.
+    The caller's pid is baked into the name, and the caller is the one
+    responsible for unlinking: the segment only ever counts as leaked
+    once that process is gone.
     """
     from multiprocessing import shared_memory
 
-    owner = os.getpid() if owner_pid is None else owner_pid
+    owner = os.getpid()
     for _ in range(32):
         name = f"repro-{kind}-{owner}-{secrets.token_hex(4)}"
         try:
@@ -1852,7 +1853,7 @@ def reap_segments() -> List[str]:
 
     The crash-recovery half of the segment lifecycle: normal runs unlink
     their own segments, but a worker killed mid-run (or a coordinator
-    dying before it decodes) leaves the file behind in ``/dev/shm``.
+    dying before it unlinks) leaves the file behind in ``/dev/shm``.
     Any later run may call this — segments whose baked-in owner pid is
     still alive are never touched.
     """
@@ -1882,17 +1883,17 @@ class FleetView:
     """Writable zero-copy columnar view over a float64 buffer.
 
     The mutable twin of :class:`FleetState`: columns are ``'d'``-typed
-    memoryview slices of one contiguous buffer (typically a
-    shared-memory segment mapped via :meth:`SharedFleet.map`), laid out
-    column-major at a stride of ``rows`` doubles — the exact layout
-    :meth:`FleetState.to_shared` writes.  Writes land directly in the
+    memoryview slices of one contiguous buffer (typically a region of
+    a shared-memory segment, as in
+    :class:`repro.serve.hierarchy.ResultArena`), laid out column-major
+    at a stride of ``rows`` doubles.  Writes land directly in the
     backing segment; no copies, no pickling.  Call :meth:`close` when
     done (views must be released before a segment can close).
     """
 
-    __slots__ = ("names", "rows", "_mv", "_columns", "_segment")
+    __slots__ = ("names", "rows", "_mv", "_columns")
 
-    def __init__(self, buffer, names: Sequence[str], rows: int, segment=None) -> None:
+    def __init__(self, buffer, names: Sequence[str], rows: int) -> None:
         mv = memoryview(buffer).cast("d")
         if len(mv) < len(names) * rows:
             mv.release()
@@ -1907,7 +1908,6 @@ class FleetView:
             name: mv[position * rows:(position + 1) * rows]
             for position, name in enumerate(self.names)
         }
-        self._segment = segment
 
     def column(self, name: str):
         """The live ``'d'`` memoryview of one column (writable)."""
@@ -1918,21 +1918,12 @@ class FleetView:
         for name, value in values.items():
             self._columns[name][index] = value
 
-    def snapshot(self) -> FleetState:
-        """An immutable :class:`FleetState` copy of the current contents."""
-        return FleetState(
-            {name: list(self._columns[name]) for name in self.names}
-        )
-
     def close(self) -> None:
-        """Release the views (and detach the backing segment, if any)."""
+        """Release the views (the backing buffer stays open)."""
         for view in self._columns.values():
             view.release()
         self._columns = {}
         self._mv.release()
-        if self._segment is not None:
-            self._segment.close()
-            self._segment = None
 
     def __enter__(self) -> "FleetView":
         return self
@@ -1941,78 +1932,13 @@ class FleetView:
         self.close()
 
 
-@dataclass(frozen=True)
-class SharedFleet:
-    """Name + layout of a :class:`FleetState` parked in shared memory.
-
-    The handle is tiny and picklable; the column payload stays in the
-    ``multiprocessing.shared_memory`` segment.  ``open()`` copies the
-    columns back out; call ``unlink()`` exactly once when done.
-    """
-
-    shm_name: str
-    names: Tuple[str, ...]
-    rows: int
-
-    def open(self) -> "FleetState":
-        """Attach, copy the columns out, and detach (no unlink)."""
-        from array import array
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=self.shm_name)
-        try:
-            columns: Dict[str, List[float]] = {}
-            stride = 8 * self.rows
-            for position, name in enumerate(self.names):
-                column = array("d")
-                column.frombytes(
-                    bytes(segment.buf[position * stride:(position + 1) * stride])
-                )
-                columns[name] = list(column)
-        finally:
-            segment.close()
-        return FleetState(columns)
-
-    def map(self) -> FleetView:
-        """Attach a writable zero-copy :class:`FleetView` over the segment.
-
-        Unlike :meth:`open` nothing is copied: column reads and writes
-        go straight to the shared pages.  ``close()`` the view when
-        done (it detaches the segment but does not unlink it — the
-        owner still calls :meth:`unlink` exactly once).
-        """
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=self.shm_name)
-        try:
-            return FleetView(segment.buf, self.names, self.rows, segment=segment)
-        except Exception:
-            segment.close()
-            raise
-
-    def unlink(self) -> None:
-        """Release the segment (safe to call if it is already gone)."""
-        from multiprocessing import shared_memory
-
-        try:
-            segment = shared_memory.SharedMemory(name=self.shm_name)
-        except FileNotFoundError:
-            return
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
 class FleetState:
     """Struct-of-arrays numeric state for a fleet of rows.
 
-    Columns are named float64 vectors of equal length.  The block
-    round-trips losslessly through shared memory (float64 is exact
-    under the copy), so a worker process can hand a whole fleet's
-    numeric state — engine columns or outcome summaries — to its parent
-    without pickling any per-session object.
+    Columns are named float64 vectors of equal length.
+    :meth:`from_rows` snapshots a fleet's engine columns
+    (:data:`ROW_COLUMNS`); the native-tier parity tests compare these
+    snapshots across tiers.
     """
 
     __slots__ = ("_names", "_columns", "rows")
@@ -2056,41 +1982,6 @@ class FleetState:
                 "ack_seq": [float(row.ack_seq) for row in rows],
             }
         )
-
-    def to_shared(self, *, owner_pid: Optional[int] = None) -> SharedFleet:
-        """Park the columns in a shared-memory segment; returns the handle.
-
-        The segment is deliberately *not* registered for automatic
-        cleanup in this process (a pooled worker would otherwise reap
-        it at exit before the parent attaches); the receiving side owns
-        the lifetime via :meth:`SharedFleet.unlink`.  ``owner_pid``
-        bakes the consuming process into the segment name (see
-        :func:`new_segment`) so a crashed run's leftovers are
-        recognizable — and reapable via :func:`reap_segments` — by any
-        later run.
-        """
-        from array import array
-
-        stride = 8 * self.rows
-        size = max(stride * len(self._names), 1)
-        segment = new_segment(size, owner_pid=owner_pid)
-        try:
-            for position, name in enumerate(self._names):
-                payload = array("d", self._columns[name]).tobytes()
-                segment.buf[position * stride:position * stride + len(payload)] = (
-                    payload
-                )
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:
-                pass
-            return SharedFleet(
-                shm_name=segment.name, names=self._names, rows=self.rows
-            )
-        finally:
-            segment.close()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FleetState):

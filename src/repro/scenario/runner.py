@@ -122,24 +122,25 @@ def run_scenario(
     """Run one scenario through the serving stack.
 
     ``shards=1`` serves the fleet in-process (event loop or the
-    window-batched fast path, per ``fast``); ``shards>1`` fans out
-    through :func:`repro.serve.fastpath.run_sharded`, which requires the
+    window-batched fast path, per ``fast``).  ``shards>1`` fans out
+    through :func:`repro.serve.hierarchy.run_hierarchy`, which always
+    runs batched (``fast`` does not apply; both engines give identical
+    results) on at most ``jobs`` worker processes, and requires the
     scenario to be expressible as a plain load spec (see
     :func:`as_load_spec`).
     """
     if shards < 1:
         raise ConfigurationError("shards must be positive")
     if shards > 1:
-        from repro.serve.fastpath import run_sharded
+        from repro.serve.hierarchy import run_hierarchy
 
-        return run_sharded(
+        return run_hierarchy(
             as_load_spec(spec),
             spec.policy.capacity_bps,
             shards=shards,
             scheduler=spec.policy.scheduler,
             shedding=spec.policy.shedding,
             admission=spec.policy.admission,
-            fast=fast,
             jobs=jobs,
         )
     return serve_sessions(

@@ -1,4 +1,4 @@
-"""Window-batched fast path and sharded fan-out for the service.
+"""Window-batched fast path for the single-bottleneck service.
 
 ``StreamingService`` (the event-loop path) runs its ``K`` sessions one
 :meth:`~repro.core.protocol.ProtocolSession.run_window` call at a time,
@@ -44,27 +44,17 @@ backend (``tests/serve/test_fastpath.py``, ``tests/serve/test_parity.py``).
 
 Sharding
 --------
-:class:`ShardedService` scales the fleet dimension across processes: a
-:class:`~repro.serve.loadgen.LoadSpec` request stream is partitioned
-into per-shard specs with a **pinned seed lineage** — shard ``i`` of
-``S`` serves ``sessions // S`` (+1 for the first ``sessions % S``
-shards) viewers generated from ``seed + i * SHARD_SEED_STRIDE`` — and
-every shard's fleet runs through the fast path on its own bottleneck
-(one shard models one server of a fleet).  Results merge into a
-:class:`ShardedResult`; identical spec + shard count always reproduces
-identical traffic, whatever the worker-process count.
-
-``ShardedService(transport="shm")`` moves each shard's numeric outcome
-columns back through one :mod:`multiprocessing.shared_memory` segment
-(via :class:`repro.core.kernel.FleetState`) instead of pickling every
-per-session result object — the summary surface
-(``mean_clf``/``stream_clf``/shed/share columns) is bit-for-bit the
-pickled transport's, because float64 survives the copy exactly.
+Fleets beyond one bottleneck run through
+:func:`repro.serve.hierarchy.run_hierarchy`, which owns the shard
+partition (:func:`~repro.serve.hierarchy.shard_specs`) and reuses this
+module's plan/execute halves: each shard's scheduling timeline replays
+through :class:`_PlanningService`, and a worker's shard fleets step
+together as :class:`_FleetExecution` slabs sharing one
+:class:`_FleetTables`.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -73,15 +63,11 @@ from repro import obs
 from repro.core import kernel
 from repro.core.kernel import (
     CONTROL_PACKET_BYTES as _CONTROL_PACKET_BYTES,
-    FleetState,
     SessionRow as _Row,
-    SharedFleet,
     WindowInfo as _WindowInfo,
 )
 from repro.errors import ConfigurationError, ProtocolError
-from repro.experiments.parallel import parallel_map
 from repro.media.ldu import Ldu
-from repro.serve.loadgen import LoadSpec, generate_requests
 from repro.serve.service import (
     _MIN_SHARE_BPS,
     ServiceResult,
@@ -91,22 +77,9 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "SHARD_SEED_STRIDE",
     "FastStreamingService",
-    "ShardedResult",
-    "ShardedService",
-    "resolve_auto_shards",
-    "run_sharded",
     "serve_sessions_fast",
-    "shard_specs",
 ]
-
-#: Load-seed spacing between shards of one sharded run.  Far from both
-#: the per-session stride of :mod:`repro.serve.loadgen` (7919) and the
-#: feedback-channel offset (104729), so shard lineages never collide
-#: with in-shard session seeds.  Pinned: changing it changes every
-#: sharded run's traffic.
-SHARD_SEED_STRIDE = 15_485_863
 
 
 # ----------------------------------------------------------------------
@@ -535,451 +508,3 @@ class FastStreamingService:
         return serve_sessions_fast(
             self._requests, self.capacity_bps, **self._kwargs
         )
-
-
-# ----------------------------------------------------------------------
-# Sharded fan-out
-# ----------------------------------------------------------------------
-
-
-def resolve_auto_shards(sessions: int) -> int:
-    """The ``--shards auto`` heuristic: one shard per usable core.
-
-    Uses :func:`os.process_cpu_count` (the CPUs this process may
-    actually run on — affinity masks and cgroup limits included) where
-    the runtime has it, falling back to :func:`os.cpu_count`, and caps
-    the result at the fleet size so no shard starts empty.
-    """
-    if sessions <= 0:
-        raise ConfigurationError("sessions must be positive")
-    counter = getattr(os, "process_cpu_count", None)
-    cpus = counter() if counter is not None else None
-    if not cpus:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, sessions))
-
-
-def shard_specs(spec: LoadSpec, shards: int) -> List[LoadSpec]:
-    """Partition a load spec into per-shard specs with pinned seeds.
-
-    Shard ``i`` receives ``sessions // shards`` viewers (the first
-    ``sessions % shards`` shards get one extra) generated from the
-    derived seed ``spec.seed + i * SHARD_SEED_STRIDE``; inside a shard,
-    the load generator's own per-session seed derivation applies
-    unchanged.  With more shards than sessions the empty tail shards
-    are dropped.
-    """
-    if shards <= 0:
-        raise ConfigurationError("shard count must be positive")
-    base, extra = divmod(spec.sessions, shards)
-    specs: List[LoadSpec] = []
-    for index in range(shards):
-        sessions = base + (1 if index < extra else 0)
-        if sessions == 0:
-            break
-        specs.append(
-            replace(
-                spec,
-                sessions=sessions,
-                seed=spec.seed + index * SHARD_SEED_STRIDE,
-            )
-        )
-    return specs
-
-
-@dataclass(frozen=True)
-class _LeanRequest:
-    """Request surface a summarised outcome still exposes."""
-
-    session_id: str
-    priority: int
-
-
-@dataclass(frozen=True)
-class _LeanResult:
-    """Result surface a summarised outcome still exposes."""
-
-    mean_clf: float
-    stream_clf: int
-
-
-#: Numeric per-outcome columns of one shard result, in transfer order.
-_OUTCOME_COLUMNS = (
-    "admitted",
-    "has_result",
-    "priority",
-    "mean_clf",
-    "stream_clf",
-    "shed_frames",
-    "share_bps",
-    "min_share_bps",
-    "demand_bps",
-    "critical_bps",
-)
-
-
-def _pack_shard_result(result: ServiceResult):
-    """Split a shard result into numeric columns + a small meta record.
-
-    The columns carry every number the merged
-    :class:`ShardedResult`/:class:`ServiceResult` summary surface reads;
-    the meta record keeps only strings and flags.  All columns are
-    float64-exact (CLFs are small integers, rates are already doubles),
-    so the transported summary is bit-for-bit the pickled one.
-    """
-    outcomes = result.outcomes
-    columns = {name: [] for name in _OUTCOME_COLUMNS}
-    for outcome in outcomes:
-        res = outcome.result
-        columns["admitted"].append(1.0 if outcome.admitted else 0.0)
-        columns["has_result"].append(0.0 if res is None else 1.0)
-        columns["priority"].append(float(outcome.request.priority))
-        columns["mean_clf"].append(res.mean_clf if res is not None else 0.0)
-        columns["stream_clf"].append(
-            float(res.stream_clf) if res is not None else 0.0
-        )
-        columns["shed_frames"].append(float(outcome.shed_frames))
-        columns["share_bps"].append(outcome.share_bps)
-        columns["min_share_bps"].append(outcome.min_share_bps)
-        columns["demand_bps"].append(outcome.demand_bps)
-        columns["critical_bps"].append(outcome.critical_bps)
-    meta = {
-        "capacity_bps": result.capacity_bps,
-        "scheduler": result.scheduler,
-        "shedding": result.shedding,
-        "admission": result.admission,
-        "session_ids": [outcome.request.session_id for outcome in outcomes],
-        "reasons": [outcome.reason for outcome in outcomes],
-    }
-    return FleetState(columns) if outcomes else None, meta
-
-
-def _unpack_shard_result(
-    state: Optional[FleetState], meta: Dict[str, object]
-) -> ServiceResult:
-    """Rebuild a summary-equivalent :class:`ServiceResult` from columns."""
-    result = ServiceResult(
-        capacity_bps=meta["capacity_bps"],
-        scheduler=meta["scheduler"],
-        shedding=meta["shedding"],
-        admission=meta["admission"],
-    )
-    if state is None:
-        return result
-    columns = state.as_dict()
-    for index, (session_id, reason) in enumerate(
-        zip(meta["session_ids"], meta["reasons"])
-    ):
-        has_result = columns["has_result"][index] > 0.0
-        result.outcomes.append(
-            SessionOutcome(
-                request=_LeanRequest(
-                    session_id=session_id,
-                    priority=int(columns["priority"][index]),
-                ),
-                admitted=columns["admitted"][index] > 0.0,
-                reason=reason,
-                result=(
-                    _LeanResult(
-                        mean_clf=columns["mean_clf"][index],
-                        stream_clf=int(columns["stream_clf"][index]),
-                    )
-                    if has_result
-                    else None
-                ),
-                shed_frames=int(columns["shed_frames"][index]),
-                share_bps=columns["share_bps"][index],
-                min_share_bps=columns["min_share_bps"][index],
-                demand_bps=columns["demand_bps"][index],
-                critical_bps=columns["critical_bps"][index],
-            )
-        )
-    return result
-
-
-def _run_shard(task):
-    """Worker: serve one shard's fleet (module-level for pickling).
-
-    Never lets an exception escape with a live shared-memory segment
-    behind it: the segment is created last — after the serve completed
-    and the columns are packed, so no failure can strand it — and its
-    name carries the *coordinator's* pid, which makes a leak from an
-    abnormal exit (worker SIGKILLed mid-transfer, coordinator gone)
-    reapable via :func:`repro.core.kernel.reap_segments`.  Exceptions
-    travel home as ``("error", exc, ...)`` markers rather than through
-    the pool, so the coordinator can decode — and unlink — every
-    sibling shard's segment before re-raising.
-    """
-    spec, capacity_bps, scheduler_name, shedding, admission, fast, transport, owner = (
-        task
-    )
-    from repro.serve.bandwidth import make_scheduler
-    from repro.serve.service import serve_sessions
-
-    started = time.perf_counter()
-    try:
-        result = serve_sessions(
-            generate_requests(spec),
-            capacity_bps,
-            fast=fast,
-            scheduler=make_scheduler(scheduler_name),
-            shedding=shedding,
-            admission=admission,
-        )
-        wall = time.perf_counter() - started
-        if transport != "shm":
-            return ("pickle", result, None, wall)
-        state, meta = _pack_shard_result(result)
-        if state is not None:
-            try:
-                return ("shm", state.to_shared(owner_pid=owner), meta, wall)
-            except (OSError, ValueError):
-                # No usable shared-memory backing (e.g. /dev/shm
-                # missing): fall back to shipping the raw columns
-                # through the pickle channel — still no per-session
-                # objects on the wire.
-                return ("columns", state.as_dict(), meta, wall)
-        return ("columns", None, meta, wall)
-    except Exception as exc:
-        return ("error", exc, None, time.perf_counter() - started)
-
-
-def _decode_shard_output(output) -> Tuple[ServiceResult, float, str]:
-    """Parent side of the shard transport; returns (result, wall, mode)."""
-    mode, payload, meta, wall = output
-    if mode == "pickle":
-        return payload, wall, mode
-    if mode == "shm":
-        handle: SharedFleet = payload
-        try:
-            state = handle.open()
-        finally:
-            handle.unlink()
-        return _unpack_shard_result(state, meta), wall, mode
-    state = FleetState(payload) if payload is not None else None
-    return _unpack_shard_result(state, meta), wall, mode
-
-
-def _release_shard_outputs(outputs) -> None:
-    """Unlink whatever segments a failed fan-out left undecoded."""
-    for output in outputs:
-        if output[0] == "shm":
-            try:
-                output[1].unlink()
-            except Exception:
-                pass
-
-
-@dataclass
-class ShardedResult:
-    """Merged outcome of one sharded run (duck-types ``ServiceResult``
-    far enough for :func:`repro.serve.service.build_service_manifest`)."""
-
-    capacity_bps: float
-    scheduler: str
-    shedding: bool
-    admission: bool
-    shards: List[ServiceResult]
-    shard_seeds: List[int]
-    shard_seconds: List[float]
-
-    @property
-    def outcomes(self) -> List[SessionOutcome]:
-        return [outcome for shard in self.shards for outcome in shard.outcomes]
-
-    @property
-    def admitted(self) -> List[SessionOutcome]:
-        return [outcome for outcome in self.outcomes if outcome.admitted]
-
-    @property
-    def rejected(self) -> List[SessionOutcome]:
-        return [outcome for outcome in self.outcomes if not outcome.admitted]
-
-    @property
-    def mean_clf(self) -> float:
-        results = [
-            outcome.result for outcome in self.admitted if outcome.result is not None
-        ]
-        if not results:
-            return 0.0
-        return sum(result.mean_clf for result in results) / len(results)
-
-    @property
-    def worst_clf(self) -> int:
-        return max((shard.worst_clf for shard in self.shards), default=0)
-
-    @property
-    def shed_total(self) -> int:
-        return sum(shard.shed_total for shard in self.shards)
-
-    def describe(self) -> str:
-        return (
-            f"{len(self.shards)} shards x {self.capacity_bps / 1e6:.2f} Mbps "
-            f"({self.scheduler} split): "
-            f"{len(self.admitted)}/{len(self.outcomes)} sessions admitted, "
-            f"mean CLF {self.mean_clf:.2f}, worst CLF {self.worst_clf}, "
-            f"{self.shed_total} frames shed"
-        )
-
-    def summary_dict(self) -> Dict[str, object]:
-        """JSON-ready summary for run manifests."""
-        return {
-            "capacity_bps": self.capacity_bps,
-            "scheduler": self.scheduler,
-            "shedding": self.shedding,
-            "admission": self.admission,
-            "shards": len(self.shards),
-            "shard_seeds": list(self.shard_seeds),
-            "sessions": len(self.outcomes),
-            "admitted": len(self.admitted),
-            "rejected": len(self.rejected),
-            "mean_clf": self.mean_clf,
-            "worst_clf": self.worst_clf,
-            "shed_frames": self.shed_total,
-            "per_shard": [shard.summary_dict() for shard in self.shards],
-        }
-
-
-class ShardedService:
-    """Fan a load spec out over independent bottleneck shards.
-
-    Each shard models one server of a fleet: its own bottleneck of
-    ``capacity_bps``, its own admission controller and shedding policy,
-    serving the shard's slice of the request stream through the fast
-    path (``fast=False`` switches the shards to the event-loop engine).
-    Shards run in worker processes via
-    :func:`repro.experiments.parallel.parallel_map` — results are merged
-    in shard order, so the outcome is independent of ``jobs``.
-
-    ``transport`` picks how shard results travel home: ``"pickle"``
-    (default) ships the full per-session result objects;  ``"shm"``
-    ships the numeric outcome columns through one shared-memory segment
-    per shard (plus a tiny pickled meta record) and rebuilds
-    summary-equivalent lean outcomes in the parent — same
-    ``summary_dict()``, ``mean_clf``, ``worst_clf`` and shed totals,
-    without re-pickling per-session objects.
-    """
-
-    def __init__(
-        self,
-        capacity_bps: float,
-        *,
-        shards: int = 2,
-        scheduler: str = "fair",
-        shedding: bool = True,
-        admission: bool = True,
-        fast: bool = True,
-        jobs: Optional[int] = None,
-        transport: str = "pickle",
-    ) -> None:
-        if capacity_bps <= 0:
-            raise ConfigurationError("capacity must be positive")
-        if shards <= 0:
-            raise ConfigurationError("shard count must be positive")
-        if transport not in ("pickle", "shm"):
-            raise ConfigurationError(
-                f"unknown shard transport {transport!r}; use 'pickle' or 'shm'"
-            )
-        from repro.serve.bandwidth import make_scheduler
-
-        make_scheduler(scheduler)  # validate the name early
-        self.capacity_bps = capacity_bps
-        self.shards = shards
-        self.scheduler = scheduler
-        self.shedding = shedding
-        self.admission = admission
-        self.fast = fast
-        self.jobs = jobs
-        self.transport = transport
-
-    def run(self, spec: LoadSpec) -> ShardedResult:
-        specs = shard_specs(spec, self.shards)
-        tasks = [
-            (
-                shard_spec,
-                self.capacity_bps,
-                self.scheduler,
-                self.shedding,
-                self.admission,
-                self.fast,
-                self.transport,
-                os.getpid(),
-            )
-            for shard_spec in specs
-        ]
-        jobs = self.jobs if self.jobs is not None else len(tasks)
-        started = time.perf_counter()
-        try:
-            outputs = parallel_map(_run_shard, tasks, jobs)
-        except BaseException:
-            # The pool died without returning (a worker was killed, a
-            # result failed to unpickle): any segment a worker parked
-            # for us is now orphaned — it carries our pid, so the next
-            # run's reap would get it, but clean up promptly ourselves.
-            for name in kernel.audit_segments():
-                if f"-{os.getpid()}-" in name:
-                    SharedFleet(shm_name=name, names=(), rows=0).unlink()
-            raise
-        errors = [output[1] for output in outputs if output[0] == "error"]
-        if errors:
-            # Unlink every sibling segment before surfacing the first
-            # worker failure — a crashed shard must not leak /dev/shm.
-            _release_shard_outputs(
-                [output for output in outputs if output[0] != "error"]
-            )
-            raise errors[0]
-        decoded = []
-        for position, output in enumerate(outputs):
-            try:
-                decoded.append(_decode_shard_output(output))
-            except BaseException:
-                _release_shard_outputs(outputs[position + 1:])
-                raise
-        if obs.enabled():
-            obs.counter("serve.fastpath.shard_runs").inc()
-            obs.counter("serve.fastpath.shards").inc(len(tasks))
-            seconds = obs.histogram("serve.fastpath.shard_seconds")
-            for _, wall, mode in decoded:
-                seconds.observe(wall)
-                if mode == "shm":
-                    obs.counter("serve.fastpath.shm_shards").inc()
-                elif mode == "columns":
-                    obs.counter("serve.fastpath.shm_fallbacks").inc()
-            obs.gauge("serve.fastpath.fanout_seconds").set(
-                time.perf_counter() - started
-            )
-        return ShardedResult(
-            capacity_bps=self.capacity_bps,
-            scheduler=self.scheduler,
-            shedding=self.shedding,
-            admission=self.admission,
-            shards=[result for result, _, _ in decoded],
-            shard_seeds=[shard_spec.seed for shard_spec in specs],
-            shard_seconds=[wall for _, wall, _ in decoded],
-        )
-
-
-def run_sharded(
-    spec: LoadSpec,
-    capacity_bps: float,
-    *,
-    shards: int,
-    scheduler: str = "fair",
-    shedding: bool = True,
-    admission: bool = True,
-    fast: bool = True,
-    jobs: Optional[int] = None,
-    transport: str = "pickle",
-) -> ShardedResult:
-    """One-shot convenience around :class:`ShardedService`."""
-    service = ShardedService(
-        capacity_bps,
-        shards=shards,
-        scheduler=scheduler,
-        shedding=shedding,
-        admission=admission,
-        fast=fast,
-        jobs=jobs,
-        transport=transport,
-    )
-    return service.run(spec)

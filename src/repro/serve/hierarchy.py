@@ -1,26 +1,22 @@
-"""Hierarchical fan-out: a fleet of fleets behind one result arena.
+"""Sharded serving: a fleet of fleets behind one result arena.
 
-``run_sharded`` (the flat fan-out of :mod:`repro.serve.fastpath`) spends
-its wall clock on two things the serving arithmetic never needed: one
-worker *process* per shard — spawn, import, page-in — and a pickled
-per-session result object stream home.  Both costs scale with the shard
-count and the fleet size respectively, which is exactly the wrong shape
-for pushing ``K`` into the tens of thousands.
-
-The hierarchy splits the two axes:
+Every multi-bottleneck run goes through :func:`run_hierarchy`.  One
+shard models one server of a fleet: its own bottleneck of
+``capacity_bps``, its own admission controller and its own shedding
+policy.  The module owns the shard partition and the lean result
+surface, and splits a run into three stages:
 
 1. **Plan.**  :func:`plan_hierarchy` sizes the shard tree from a cost
-   model — each shard (one modeled server, its own bottleneck, its own
-   admission controller) is budgeted ``sessions x windows`` work units
+   model — each shard is budgeted ``sessions x windows`` work units
    (:data:`TARGET_SHARD_COST`) and capped at
    :data:`MAX_SHARD_SESSIONS` viewers so the per-shard scheduling
    replay stays cheap — while the *worker* count comes from the usable
-   cores (:func:`~repro.serve.fastpath.resolve_auto_shards`).  Shard
-   seed lineage is untouched: shard ``i`` still serves the
-   :func:`~repro.serve.fastpath.shard_specs` slice seeded
-   ``spec.seed + i * SHARD_SEED_STRIDE``, so a hierarchy run at shard
-   count ``S`` reproduces the traffic of every historical
-   ``run_sharded(shards=S)`` manifest.
+   cores (:func:`resolve_auto_shards`).  An explicit ``shards=S``
+   overrides the cost model.  Shard seed lineage is pinned either way:
+   shard ``i`` serves the :func:`shard_specs` slice seeded
+   ``spec.seed + i * SHARD_SEED_STRIDE``, so identical spec + shard
+   count always reproduces identical traffic, whatever the worker
+   count.
 2. **Execute.**  A process pool of ``workers`` hosts the shards, many
    per worker.  Each worker replays every assigned shard's scheduling
    timeline (:class:`~repro.serve.fastpath._PlanningService`), then
@@ -32,8 +28,8 @@ The hierarchy splits the two axes:
    Python object crossing a process boundary.  Per-row
    draws come off private streams, so interleaving shards changes no
    row's loss sequence (the parity battery in
-   ``tests/serve/test_hierarchy.py`` pins this bit-for-bit against
-   ``run_sharded`` / ``serve_sessions(fast=True)``).
+   ``tests/serve/test_hierarchy.py`` pins every shard bit-for-bit
+   against the event-loop service serving that shard's spec alone).
 3. **Reduce.**  Workers write numeric results straight into a
    preallocated shared-memory **result arena** — per-session outcome
    columns, per-(shard, window) CLF/ALF/shed aggregates, per-shard
@@ -53,6 +49,7 @@ is recognizable garbage for :func:`repro.core.kernel.reap_segments`.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -64,21 +61,17 @@ from repro.experiments.parallel import parallel_map
 from repro.media.gop import GOP_12
 from repro.serve.admission import ADMITTED_REASON
 from repro.serve.fastpath import (
-    _OUTCOME_COLUMNS,
     _FleetExecution,
     _FleetTables,
-    _LeanRequest,
-    _LeanResult,
     _PlanningService,
     _fleet_batches,
-    resolve_auto_shards,
-    shard_specs,
 )
 from repro.serve.loadgen import LoadSpec, generate_requests
 from repro.serve.service import SessionOutcome
 
 __all__ = [
     "MAX_SHARD_SESSIONS",
+    "SHARD_SEED_STRIDE",
     "SLAB_SESSION_BUDGET",
     "TARGET_SHARD_COST",
     "HierarchyPlan",
@@ -86,8 +79,17 @@ __all__ = [
     "ResultArena",
     "ShardTask",
     "plan_hierarchy",
+    "resolve_auto_shards",
     "run_hierarchy",
+    "shard_specs",
 ]
+
+#: Load-seed spacing between shards of one sharded run.  Far from both
+#: the per-session stride of :mod:`repro.serve.loadgen` (7919) and the
+#: feedback-channel offset (104729), so shard lineages never collide
+#: with in-shard session seeds.  Pinned: changing it changes every
+#: sharded run's traffic.
+SHARD_SEED_STRIDE = 15_485_863
 
 #: Cost-model budget per shard, in session-windows.  A shard is one
 #: modeled server: its scheduling replay is quadratic-ish in its fleet
@@ -108,10 +110,19 @@ MAX_SHARD_SESSIONS = 1024
 #: stays bounded no matter how many shards it was handed.
 SLAB_SESSION_BUDGET = 4096
 
-#: Per-session outcome columns of the result arena (the flat fan-out's
-#: shared-memory transport order — reused verbatim so both transports
-#: stay pinned by the same column-order tests).
-SESSION_COLUMNS = _OUTCOME_COLUMNS
+#: Per-session outcome columns of the result arena, in arena order.
+SESSION_COLUMNS = (
+    "admitted",
+    "has_result",
+    "priority",
+    "mean_clf",
+    "stream_clf",
+    "shed_frames",
+    "share_bps",
+    "min_share_bps",
+    "demand_bps",
+    "critical_bps",
+)
 
 #: Per-(shard, window-ordinal) aggregate columns: the QoE curve inputs.
 WINDOW_COLUMNS = ("clf_sum", "alf_sum", "shed_frames", "frames", "rows")
@@ -124,8 +135,54 @@ SHARD_COLUMNS = (
 
 
 # ----------------------------------------------------------------------
-# Planning: the shard tree from a cost model
+# Planning: the shard partition and the shard tree from a cost model
 # ----------------------------------------------------------------------
+
+
+def resolve_auto_shards(sessions: int) -> int:
+    """The ``--shards auto`` heuristic: one shard per usable core.
+
+    Uses :func:`os.process_cpu_count` (the CPUs this process may
+    actually run on — affinity masks and cgroup limits included) where
+    the runtime has it, falling back to :func:`os.cpu_count`, and caps
+    the result at the fleet size so no shard starts empty.  The same
+    count is the default worker count of :func:`plan_hierarchy`.
+    """
+    if sessions <= 0:
+        raise ConfigurationError("sessions must be positive")
+    counter = getattr(os, "process_cpu_count", None)
+    cpus = counter() if counter is not None else None
+    if not cpus:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, sessions))
+
+
+def shard_specs(spec: LoadSpec, shards: int) -> List[LoadSpec]:
+    """Partition a load spec into per-shard specs with pinned seeds.
+
+    Shard ``i`` receives ``sessions // shards`` viewers (the first
+    ``sessions % shards`` shards get one extra) generated from the
+    derived seed ``spec.seed + i * SHARD_SEED_STRIDE``; inside a shard,
+    the load generator's own per-session seed derivation applies
+    unchanged.  With more shards than sessions the empty tail shards
+    are dropped.
+    """
+    if shards <= 0:
+        raise ConfigurationError("shard count must be positive")
+    base, extra = divmod(spec.sessions, shards)
+    specs: List[LoadSpec] = []
+    for index in range(shards):
+        sessions = base + (1 if index < extra else 0)
+        if sessions == 0:
+            break
+        specs.append(
+            replace(
+                spec,
+                sessions=sessions,
+                seed=spec.seed + index * SHARD_SEED_STRIDE,
+            )
+        )
+    return specs
 
 
 @dataclass(frozen=True)
@@ -217,10 +274,9 @@ def plan_hierarchy(
 ) -> HierarchyPlan:
     """Size the shard tree for ``spec`` from the cost model.
 
-    ``shards`` overrides the cost model (for reproducing a historical
-    flat run's partitioning exactly); ``workers`` overrides the
-    one-per-usable-core default.  Either way shard seed lineage is the
-    flat fan-out's, pinned by :func:`~repro.serve.fastpath.shard_specs`.
+    ``shards`` overrides the cost model (the CLI's ``--shards S``);
+    ``workers`` overrides the one-per-usable-core default.  Either way
+    shard seed lineage is pinned by :func:`shard_specs`.
     """
     if capacity_bps <= 0:
         raise ConfigurationError("capacity must be positive")
@@ -351,10 +407,9 @@ class ResultArena:
         """Allocate (zero-filled) and name the arena for one run.
 
         The segment stays registered with this process's resource
-        tracker — unlike the worker-created fleet segments there is no
-        cross-process ownership hand-off to confuse it, and a
-        hard-killed coordinator then still gets its arena unlinked at
-        tracker exit.
+        tracker: the coordinator creates it and unlinks it, workers
+        only map it, so a hard-killed coordinator still gets its arena
+        unlinked at tracker exit.
         """
         arena = cls(
             shm_name="",
@@ -641,6 +696,22 @@ def _assign(tasks: Sequence[ShardTask], workers: int) -> List[List[ShardTask]]:
 # ----------------------------------------------------------------------
 # The coordinator
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _LeanRequest:
+    """Request surface a summarised outcome still exposes."""
+
+    session_id: str
+    priority: int
+
+
+@dataclass(frozen=True)
+class _LeanResult:
+    """Result surface a summarised outcome still exposes."""
+
+    mean_clf: float
+    stream_clf: int
 
 
 def _percentile(values: Sequence[float], pct: float) -> float:

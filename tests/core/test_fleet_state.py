@@ -1,16 +1,19 @@
-"""FleetState / SharedFleet at planner scale (K >= 10^4).
+"""FleetState / FleetView over arena segments at planner scale (K >= 10^4).
 
 ``test_kernel.py`` pins the shared-memory round trip on a three-row
-fleet; the hierarchical fan-out rides this transport at tens of
-thousands of rows, so this suite pins it at that scale — exact float64
-round-trips, the column order the zero-copy views rely on, and a
-Hypothesis property over the admitted/departed row masks the serving
-layer actually stores in these columns.
+fleet; the hierarchical fan-out's result arena carries columns at tens
+of thousands of rows through the same ``FleetView`` over a
+``kernel.new_segment(kind="arena")`` segment, so this suite pins that
+path at that scale — exact float64 round-trips, the column order the
+zero-copy views rely on, and a Hypothesis property over the
+admitted/departed row masks the serving layer actually stores in these
+columns.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,7 @@ K = 10_000
 
 
 class TestLargeFleetRoundTrip:
-    def test_round_trip_is_exact_at_ten_thousand_rows(self):
+    def test_round_trip_is_exact_at_ten_thousand_rows(self, arena_round_trip):
         columns = {
             name: [
                 # Awkward float64 values: negatives, tiny magnitudes,
@@ -32,11 +35,7 @@ class TestLargeFleetRoundTrip:
             for offset, name in enumerate(kernel.ROW_COLUMNS)
         }
         state = kernel.FleetState(columns)
-        handle = state.to_shared()
-        try:
-            copied = handle.open()
-        finally:
-            handle.unlink()
+        copied = arena_round_trip(state)
         assert copied == state
         for name in kernel.ROW_COLUMNS:
             assert copied.column(name) == columns[name]
@@ -65,17 +64,25 @@ class TestLargeFleetRoundTrip:
             name: [float(offset * rows + index) for index in range(rows)]
             for offset, name in enumerate(kernel.ROW_COLUMNS)
         }
-        handle = kernel.FleetState(columns).to_shared()
+        names = kernel.ROW_COLUMNS
+        segment = kernel.new_segment(8 * len(names) * rows, kind="arena")
         try:
-            with handle.map() as view:
-                for name in kernel.ROW_COLUMNS:
+            # Column-major at a stride of ``rows`` doubles: column k's
+            # first cell sits at double offset k * rows of the buffer.
+            flat = memoryview(segment.buf).cast("d")
+            for offset, name in enumerate(names):
+                flat[offset * rows:(offset + 1) * rows] = array("d", columns[name])
+            flat.release()
+            with kernel.FleetView(segment.buf, names, rows) as view:
+                for name in names:
                     column = view.column(name)
                     assert column[0] == columns[name][0]
                     assert column[rows - 1] == columns[name][rows - 1]
-                snap = view.snapshot()
+                copied = {name: list(view.column(name)) for name in names}
         finally:
-            handle.unlink()
-        assert snap.as_dict() == columns
+            segment.close()
+            segment.unlink()
+        assert copied == columns
 
 
 @st.composite
@@ -109,13 +116,9 @@ def masked_fleets(draw):
 class TestMaskProperty:
     @given(columns=masked_fleets())
     @settings(max_examples=50, deadline=None)
-    def test_masks_survive_the_shared_copy(self, columns):
+    def test_masks_survive_the_shared_copy(self, columns, arena_round_trip):
         state = kernel.FleetState(columns)
-        handle = state.to_shared()
-        try:
-            copied = handle.open()
-        finally:
-            handle.unlink()
+        copied = arena_round_trip(state)
         assert copied == state
         # Masks must stay exactly 0.0/1.0 — a transport that nudged one
         # would silently flip a session's admitted/departed status.

@@ -383,23 +383,24 @@ class TestFleetState:
             )
         return rows
 
-    def test_shared_memory_round_trip_is_exact(self, small_stream):
+    def test_shared_memory_round_trip_is_exact(self, small_stream, arena_round_trip):
         rows = self._fleet(small_stream)
         state = kernel.FleetState.from_rows(rows)
-        handle = state.to_shared()
-        try:
-            copied = handle.open()
-        finally:
-            handle.unlink()
+        copied = arena_round_trip(state)
         assert copied == state
         assert copied.column("fwd_busy") == [row.fwd_busy for row in rows]
         assert copied.column("ack_seq") == [float(row.ack_seq) for row in rows]
 
-    def test_unlink_is_idempotent(self, small_stream):
-        state = kernel.FleetState.from_rows(self._fleet(small_stream))
-        handle = state.to_shared()
-        handle.unlink()
-        handle.unlink()  # second release must be a no-op
+    def test_unlink_is_idempotent(self):
+        from repro.serve import LoadSpec
+        from repro.serve.hierarchy import ResultArena, plan_hierarchy
+
+        plan = plan_hierarchy(LoadSpec(sessions=3), 1e6, shards=1, workers=1)
+        arena = ResultArena.create(plan)
+        assert arena.shm_name in kernel.audit_segments()
+        arena.unlink()
+        arena.unlink()  # second release must be a no-op
+        assert arena.shm_name not in kernel.audit_segments()
 
     def test_columns_cover_engine_state(self, small_stream):
         state = kernel.FleetState.from_rows(self._fleet(small_stream))

@@ -113,10 +113,12 @@ class TestCli:
 
 class TestServeCli:
     def test_serve_shards_auto(self, monkeypatch):
-        import repro.serve.fastpath as fastpath
+        import repro.serve.hierarchy as hierarchy
 
         # Pin the heuristic so the assertion does not depend on the host.
-        monkeypatch.setattr(fastpath.os, "process_cpu_count", lambda: 2, raising=False)
+        monkeypatch.setattr(
+            hierarchy.os, "process_cpu_count", lambda: 2, raising=False
+        )
         out = io.StringIO()
         assert main(
             ["serve", "--sessions", "6", "--shards", "auto", "--fast"], out=out
@@ -124,6 +126,51 @@ class TestServeCli:
         # Two shards of three sessions each, shard-prefixed labels.
         text = out.getvalue()
         assert "0:s00" in text and "1:s00" in text
+
+    def test_serve_shards_writes_valid_manifest(self, tmp_path):
+        import json
+
+        from repro import obs
+        from repro.obs.manifest import validate_manifest
+
+        path = tmp_path / "sharded.json"
+        out = io.StringIO()
+        try:
+            assert main(
+                ["serve", "--sessions", "6", "--shards", "2",
+                 "--manifest-out", str(path)],
+                out=out,
+            ) == 0
+        finally:
+            obs.disable()
+        assert "0:s00" in out.getvalue() and "1:s02" in out.getvalue()
+        manifest = json.loads(path.read_text())
+        assert validate_manifest(manifest) == []
+        assert manifest["config"]["sessions"] == 6
+        # The literal pins the seed lineage: changing the stride changes
+        # every sharded run's traffic.
+        assert manifest["summary"]["plan"]["shard_seeds"] == [0, 15_485_863]
+
+    def test_scenario_run_shards_labels_rows(self, tmp_path):
+        import json
+
+        spec_path = tmp_path / "spec.json"
+        assert main(
+            ["scenario", "emit", "--out", str(spec_path)], out=io.StringIO()
+        ) == 0
+        spec = json.loads(spec_path.read_text())
+        spec["load"]["arrival"] = "poisson"  # flash crowds cannot shard
+        spec_path.write_text(json.dumps(spec))
+        out = io.StringIO()
+        assert main(
+            ["scenario", "run", str(spec_path), "--shards", "2"], out=out
+        ) == 0
+        labels = [
+            line.split()[0]
+            for line in out.getvalue().splitlines()
+            if line[:1].isdigit()
+        ]
+        assert labels == ["0:s00", "0:s01", "1:s00", "1:s01"]
 
     def test_serve_shards_rejects_garbage(self):
         out = io.StringIO()

@@ -40,7 +40,7 @@ from repro.scenario import (
     build_requests,
     run_scenario,
 )
-from repro.serve import loadgen, serve_sessions
+from repro.serve import loadgen, serve_sessions, shard_specs
 
 #: One phase that never ends within any run here — the stationary
 #: special case expressed in the DSL.
@@ -157,6 +157,24 @@ def _outcome_key(outcome):
     )
 
 
+def _lean_key(outcome):
+    """The outcome surface a sharded run's lean outcomes expose."""
+    result = outcome.result
+    return (
+        outcome.request.session_id,
+        outcome.request.priority,
+        outcome.admitted,
+        outcome.reason,
+        outcome.shed_frames,
+        outcome.share_bps,
+        outcome.min_share_bps,
+        outcome.demand_bps,
+        outcome.critical_bps,
+        None if result is None else result.mean_clf,
+        None if result is None else result.stream_clf,
+    )
+
+
 def _stationary_requests(spec: ScenarioSpec):
     """The equivalent plain-loadgen fleet (no channel_phases anywhere)."""
     plain = as_load_spec(spec)
@@ -196,28 +214,25 @@ class TestServingParity:
             o.result for o in slow.outcomes
         ]
 
-    def test_run_sharded_single_phase(self):
-        from repro.serve.fastpath import run_sharded
-
+    def test_sharded_run_single_phase(self):
         spec = _scenario(seed=1, sessions=4)
-        expected = run_sharded(
-            replace(as_load_spec(spec), config=ProtocolConfig()),
-            spec.policy.capacity_bps,
-            shards=2,
-        )
-        actual = run_scenario(spec, shards=2)
-        for shard_a, shard_e in zip(actual.shards, expected.shards):
-            assert list(map(_outcome_key, shard_a.outcomes)) == list(
-                map(_outcome_key, shard_e.outcomes)
+        actual = run_scenario(spec, shards=2, jobs=1)
+        plain = replace(as_load_spec(spec), config=ProtocolConfig())
+        expected = [
+            serve_sessions(
+                loadgen.generate_requests(shard_spec), spec.policy.capacity_bps
             )
+            for shard_spec in shard_specs(plain, 2)
+        ]
+        assert actual.plan.shard_seeds == [s.seed for s in shard_specs(plain, 2)]
+        assert list(map(_lean_key, actual.outcomes)) == [
+            _lean_key(o) for shard in expected for o in shard.outcomes
+        ]
 
     def test_hierarchy_matches_flat_fanout_multi_phase(self):
         """The hierarchical fan-out inherits phased channels through
-        `step_fleet`'s schedule-keyed refill; it must equal the flat
-        sharded fan-out with a real switch in play."""
-        from repro.serve.fastpath import run_sharded
-        from repro.serve.hierarchy import run_hierarchy
-
+        `step_fleet`'s schedule-keyed refill; with a real switch in
+        play it must equal the event-loop service run shard by shard."""
         spec = replace(
             _scenario(seed=2, sessions=6),
             channel=ChannelSpec(
@@ -228,33 +243,17 @@ class TestServingParity:
             ),
             policy=PolicySpec(capacity_bps=8_000_000.0),
         )
-        load = as_load_spec(spec)
-        flat = run_sharded(load, spec.policy.capacity_bps, shards=2)
-        tree = run_hierarchy(
-            load, spec.policy.capacity_bps, shards=2, workers=2
-        )
-        flat_keys = sorted(
-            (
-                o.request.session_id,
-                o.admitted,
-                o.shed_frames,
-                None if o.result is None else o.result.mean_clf,
-                None if o.result is None else o.result.stream_clf,
+        tree = run_scenario(spec, shards=2, jobs=2)
+        flat = [
+            serve_sessions(
+                loadgen.generate_requests(shard_spec), spec.policy.capacity_bps
             )
-            for shard in flat.shards
-            for o in shard.outcomes
-        )
-        tree_keys = sorted(
-            (
-                o.request.session_id,
-                o.admitted,
-                o.shed_frames,
-                None if o.result is None else o.result.mean_clf,
-                None if o.result is None else o.result.stream_clf,
-            )
-            for o in tree.outcomes
-        )
-        assert tree_keys == flat_keys
+            for shard_spec in shard_specs(as_load_spec(spec), 2)
+        ]
+        assert list(map(_lean_key, tree.outcomes)) == [
+            _lean_key(o) for shard in flat for o in shard.outcomes
+        ]
+        assert tree.admitted_count == sum(len(shard.admitted) for shard in flat)
 
     def test_flash_crowd_decoration_only_moves_arrivals(self):
         """Flash arrivals change *when* sessions show up, nothing else."""

@@ -27,11 +27,12 @@ from repro.serve import (
     SessionRequest,
     generate_requests,
     make_scheduler,
-    run_sharded,
+    run_hierarchy,
     serve_sessions,
     shard_specs,
 )
-from repro.serve.fastpath import SHARD_SEED_STRIDE, serve_sessions_fast
+from repro.serve.fastpath import serve_sessions_fast
+from repro.serve.hierarchy import SHARD_SEED_STRIDE
 
 
 def _outcome_key(outcome):
@@ -247,7 +248,38 @@ class TestFastServiceFrontend:
         ]
 
 
+def _lean_key(outcome):
+    """The outcome surface a sharded run's lean outcomes expose."""
+    result = outcome.result
+    return (
+        outcome.request.session_id,
+        outcome.request.priority,
+        outcome.admitted,
+        outcome.reason,
+        outcome.share_bps,
+        outcome.min_share_bps,
+        outcome.shed_frames,
+        outcome.demand_bps,
+        outcome.critical_bps,
+        result.mean_clf if result else None,
+        result.stream_clf if result else None,
+    )
+
+
+def _shard_slices(result):
+    """A sharded run's lean outcomes, one list per shard task."""
+    outcomes = iter(result.outcomes)
+    return [
+        (task, [next(outcomes) for _ in range(task.spec.sessions)])
+        for task in result.plan.shard_tasks
+    ]
+
+
 class TestSharding:
+    """Sharded serving (:func:`repro.serve.hierarchy.run_hierarchy`)
+    on top of this fast path: the pinned partition, and every shard
+    equal to serving its derived spec alone."""
+
     def test_shard_specs_partition_and_seed_lineage(self):
         spec = LoadSpec(sessions=7, seed=11)
         shards = shard_specs(spec, 3)
@@ -269,106 +301,54 @@ class TestSharding:
 
     def test_sharded_run_independent_of_worker_count(self):
         spec = LoadSpec(sessions=4, seed=9, gop_count=4)
-        serial = run_sharded(spec, 2_000_000.0, shards=2, jobs=1)
-        parallel = run_sharded(spec, 2_000_000.0, shards=2, jobs=2)
-        assert serial.shard_seeds == parallel.shard_seeds
-        assert [s.summary_dict() for s in serial.shards] == [
-            s.summary_dict() for s in parallel.shards
-        ]
-        assert [_outcome_key(o) for o in serial.outcomes] == [
-            _outcome_key(o) for o in parallel.outcomes
+        serial = run_hierarchy(spec, 2_000_000.0, shards=2, workers=1, jobs=1)
+        parallel = run_hierarchy(spec, 2_000_000.0, shards=2, workers=2, jobs=2)
+        assert serial.plan.shard_seeds == parallel.plan.shard_seeds
+        assert serial.summary_dict() == parallel.summary_dict()
+        assert [_lean_key(o) for o in serial.outcomes] == [
+            _lean_key(o) for o in parallel.outcomes
         ]
 
     def test_each_shard_matches_direct_fleet(self):
         """Shard i's fleet equals serving its derived spec directly."""
         spec = LoadSpec(sessions=4, seed=21, gop_count=4)
-        sharded = run_sharded(spec, 2_400_000.0, shards=2, jobs=1)
-        for shard_spec, shard_result in zip(
-            shard_specs(spec, 2), sharded.shards
-        ):
+        sharded = run_hierarchy(spec, 2_400_000.0, shards=2, jobs=1)
+        slices = _shard_slices(sharded)
+        assert [task.spec for task, _ in slices] == shard_specs(spec, 2)
+        for task, outcomes in slices:
             direct = serve_sessions(
-                generate_requests(shard_spec), 2_400_000.0, fast=True
+                generate_requests(task.spec), 2_400_000.0, fast=True
             )
-            assert [_outcome_key(o) for o in shard_result.outcomes] == [
-                _outcome_key(o) for o in direct.outcomes
+            assert [_lean_key(o) for o in outcomes] == [
+                _lean_key(o) for o in direct.outcomes
             ]
 
     def test_sharded_event_loop_engine(self):
-        """``fast=False`` shards run the event-loop service instead —
-        results are identical either way."""
+        """Each shard equals the event-loop service on its own spec."""
         spec = LoadSpec(sessions=3, seed=2, gop_count=4)
-        fast = run_sharded(spec, 2_000_000.0, shards=2, jobs=1, fast=True)
-        slow = run_sharded(spec, 2_000_000.0, shards=2, jobs=1, fast=False)
-        assert [_outcome_key(o) for o in fast.outcomes] == [
-            _outcome_key(o) for o in slow.outcomes
-        ]
-
-    def test_shm_transport_matches_pickle(self):
-        """The shared-memory result transport is invisible in summaries.
-
-        The shm transport ships session outcomes as numeric columns (a
-        :class:`repro.core.kernel.FleetState`), so per-window detail
-        stays in the worker — but every summary statistic must round
-        trip exactly (float64 columns copy losslessly).
-        """
-
-        def lean_key(outcome):
-            return (
-                outcome.request.session_id,
-                outcome.request.priority,
-                outcome.admitted,
-                outcome.reason,
-                outcome.share_bps,
-                outcome.min_share_bps,
-                outcome.shed_frames,
-                outcome.demand_bps,
-                outcome.critical_bps,
-                outcome.result.mean_clf if outcome.result else None,
-                outcome.result.stream_clf if outcome.result else None,
+        sharded = run_hierarchy(spec, 2_000_000.0, shards=2, jobs=1)
+        for task, outcomes in _shard_slices(sharded):
+            slow = serve_sessions(
+                generate_requests(task.spec), 2_000_000.0, fast=False
             )
-
-        spec = LoadSpec(sessions=4, seed=13, gop_count=4)
-        pickled = run_sharded(
-            spec, 2_400_000.0, shards=2, jobs=2, transport="pickle"
-        )
-        shared = run_sharded(
-            spec, 2_400_000.0, shards=2, jobs=2, transport="shm"
-        )
-        assert pickled.summary_dict() == shared.summary_dict()
-        assert [lean_key(o) for o in pickled.outcomes] == [
-            lean_key(o) for o in shared.outcomes
-        ]
-
-    def test_shm_transport_serial_jobs(self):
-        spec = LoadSpec(sessions=3, seed=5, gop_count=4)
-        pickled = run_sharded(spec, 2_000_000.0, shards=2, jobs=1)
-        shared = run_sharded(
-            spec, 2_000_000.0, shards=2, jobs=1, transport="shm"
-        )
-        assert pickled.summary_dict() == shared.summary_dict()
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_sharded(
-                LoadSpec(sessions=2, seed=1, gop_count=4),
-                2_000_000.0,
-                shards=2,
-                transport="carrier-pigeon",
-            )
+            assert [_lean_key(o) for o in outcomes] == [
+                _lean_key(o) for o in slow.outcomes
+            ]
 
     def test_sharded_summary_and_manifest(self):
         from repro.serve import build_service_manifest
 
-        result = run_sharded(
+        result = run_hierarchy(
             LoadSpec(sessions=3, seed=2, gop_count=4), 2_000_000.0,
             shards=2, jobs=1,
         )
         summary = result.summary_dict()
-        assert summary["shards"] == 2
+        assert summary["plan"]["shards"] == 2
+        assert summary["plan"]["shard_seeds"] == [2, 2 + SHARD_SEED_STRIDE]
         assert summary["sessions"] == 3
-        assert len(summary["per_shard"]) == 2
         manifest = build_service_manifest(result, seed=2)
-        assert manifest["summary"]["shards"] == 2
+        assert manifest["config"]["sessions"] == 3
+        assert manifest["summary"]["plan"]["shards"] == 2
         assert "shards" in result.describe()
 
 

@@ -1,11 +1,11 @@
 """Tests for the hierarchical fan-out (repro.serve.hierarchy).
 
-The load-bearing property is bit-for-bit parity: a hierarchy run at
-shard count ``S`` must reproduce ``run_sharded(shards=S)`` — and, via
-that suite's own pins, ``serve_sessions(fast=True)`` and the event-loop
-service — outcome for outcome, on every acceleration backend, for any
-worker count.  Everything else (cost-model planning, the shared-memory
-result arena, the reduced result surface) is tested around that core.
+The load-bearing property is bit-for-bit parity: every shard of a
+hierarchy run must reproduce the event-loop service serving that
+shard's derived spec alone (``serve_sessions(..., fast=False)``) —
+outcome for outcome, on every acceleration backend, for any worker
+count.  Everything else (cost-model planning, the shared-memory result
+arena, the reduced result surface) is tested around that core.
 """
 
 from __future__ import annotations
@@ -17,15 +17,16 @@ import pytest
 from repro import accel
 from repro.core import kernel
 from repro.errors import ConfigurationError
-from repro.serve import LoadSpec, run_sharded
+from repro.serve import LoadSpec, generate_requests, serve_sessions
 from repro.serve.admission import ADMITTED_REASON
-from repro.serve.fastpath import resolve_auto_shards, shard_specs
 from repro.serve.hierarchy import (
     MAX_SHARD_SESSIONS,
     HierarchyPlan,
     ResultArena,
     plan_hierarchy,
+    resolve_auto_shards,
     run_hierarchy,
+    shard_specs,
 )
 
 #: A fleet under enough pressure that admission rejects, shedding fires
@@ -38,9 +39,17 @@ def _tight_spec() -> LoadSpec:
     return LoadSpec(**TIGHT)
 
 
-def _flat_keys(sharded):
+def _per_shard_event_loop(plan, capacity_bps):
+    """The oracle: each shard task served alone on the event loop."""
+    return [
+        serve_sessions(generate_requests(task.spec), capacity_bps, fast=False)
+        for task in plan.shard_tasks
+    ]
+
+
+def _flat_keys(shard_results):
     keys = []
-    for shard in sharded.shards:
+    for shard in shard_results:
         for outcome in shard.outcomes:
             result = outcome.result
             keys.append(
@@ -139,30 +148,26 @@ class TestPlanning:
 
 class TestParity:
     def test_matches_flat_fanout_on_every_backend(self):
+        """Every shard equals the event-loop service on its own spec."""
         previous = accel.backend_name()
         try:
             for name in accel.available_backends():
                 accel.set_backend(name)
-                flat = run_sharded(
-                    _tight_spec(), TIGHT_CAPACITY, shards=6, jobs=1
-                )
                 hier = run_hierarchy(
                     _tight_spec(), TIGHT_CAPACITY, shards=6, jobs=1
                 )
+                flat = _per_shard_event_loop(hier.plan, TIGHT_CAPACITY)
                 assert hier.rejected_count > 0, "scenario must exercise admission"
+                assert hier.shed_total > 0, "scenario must exercise shedding"
                 assert _hierarchy_keys(hier) == _flat_keys(flat), (
                     f"backend {name!r} diverged"
                 )
-                assert hier.admitted_count == sum(
-                    len(s.admitted) for s in flat.shards
-                )
-                assert hier.shed_total == sum(s.shed_total for s in flat.shards)
+                assert hier.admitted_count == sum(len(s.admitted) for s in flat)
+                assert hier.shed_total == sum(s.shed_total for s in flat)
         finally:
             accel.set_backend(previous)
 
     def test_single_shard_matches_fast_service(self):
-        from repro.serve import generate_requests, serve_sessions
-
         spec = LoadSpec(
             sessions=12, seed=1, mean_interarrival=1e-3, gop_count=4, max_windows=2
         )
@@ -348,31 +353,10 @@ class TestMergedSlab:
         assert any(len(shares) > 1 for _, shares in calls)
 
     def test_matches_the_per_shard_event_loop(self):
-        from repro.serve import generate_requests, serve_sessions
-
         plan = plan_hierarchy(self._spec(), self.CAPACITY, shards=64, workers=1)
         hier = run_hierarchy(plan, jobs=1)
-        expected = []
-        for task in plan.shard_tasks:
-            served = serve_sessions(generate_requests(task.spec), self.CAPACITY)
-            for outcome in served.outcomes:
-                result = outcome.result
-                expected.append(
-                    (
-                        outcome.request.session_id,
-                        outcome.request.priority,
-                        outcome.admitted,
-                        outcome.reason,
-                        outcome.shed_frames,
-                        outcome.share_bps,
-                        outcome.min_share_bps,
-                        outcome.demand_bps,
-                        outcome.critical_bps,
-                        result.mean_clf if result else None,
-                        result.stream_clf if result else None,
-                    )
-                )
-        assert _hierarchy_keys(hier) == expected
+        expected = _per_shard_event_loop(plan, self.CAPACITY)
+        assert _hierarchy_keys(hier) == _flat_keys(expected)
 
 
 class TestResultSurface:
@@ -424,26 +408,26 @@ class TestResultSurface:
 
 class TestAutoShards:
     def test_uses_process_cpu_count_when_available(self, monkeypatch):
-        from repro.serve import fastpath
+        from repro.serve import hierarchy
 
         monkeypatch.setattr(
-            fastpath.os, "process_cpu_count", lambda: 6, raising=False
+            hierarchy.os, "process_cpu_count", lambda: 6, raising=False
         )
         assert resolve_auto_shards(100) == 6
         assert resolve_auto_shards(4) == 4  # capped by the fleet
 
     def test_falls_back_to_cpu_count(self, monkeypatch):
-        from repro.serve import fastpath
+        from repro.serve import hierarchy
 
-        monkeypatch.delattr(fastpath.os, "process_cpu_count", raising=False)
-        monkeypatch.setattr(fastpath.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(hierarchy.os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(hierarchy.os, "cpu_count", lambda: 3)
         assert resolve_auto_shards(100) == 3
 
     def test_never_below_one(self, monkeypatch):
-        from repro.serve import fastpath
+        from repro.serve import hierarchy
 
-        monkeypatch.delattr(fastpath.os, "process_cpu_count", raising=False)
-        monkeypatch.setattr(fastpath.os, "cpu_count", lambda: None)
+        monkeypatch.delattr(hierarchy.os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(hierarchy.os, "cpu_count", lambda: None)
         assert resolve_auto_shards(100) == 1
 
     def test_rejects_empty_fleet(self):
