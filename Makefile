@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-repo bench-serving bench-harness bench-batch bench-serve bench-kernel bench-native bench-hierarchy bench-trend bench-all profile profile-serve profile-kernel profile-native profile-hierarchy experiments examples serve-demo gateway-demo obs-demo obs-guard capacity-plan lint all
+.PHONY: install test bench bench-repo bench-serving bench-harness bench-batch bench-serve bench-kernel bench-native bench-hierarchy bench-trend bench-all profile profile-serve profile-kernel profile-hierarchy experiments examples serve-demo gateway-demo obs-demo obs-guard capacity-plan lint all
 
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -19,19 +19,15 @@ bench:
 bench-repo:
 	python3 bench/run.py --seed 0
 
-# The serving-path workloads on the default backend, then without NumPy,
-# then on the native kernel tier (its per-row share timing path):
-# seed-0 golden digests plus the event-loop oracles (~1.5 min).
+# The serving-path workloads on the default backend (the fused tier's
+# array program), then without NumPy (its pure-Python cohort loop):
+# seed-0 golden digests plus the event-loop oracles (~1 min).
 bench-serving:
 	for backend in auto pure; do \
 	  for workload in plan-hierarchy serve-flash; do \
 	    REPRO_BACKEND=$$backend python3 bench/run.py --workload $$workload \
 	      --seed 0 --seconds 2 --trace 0 || exit 1; \
 	  done; \
-	done
-	for workload in plan-hierarchy serve-flash; do \
-	  REPRO_KERNEL=native python3 bench/run.py --workload $$workload \
-	    --seed 0 --seconds 2 --trace 0 || exit 1; \
 	done
 
 # The benchmark harness's own tests (~5 s).
@@ -69,9 +65,6 @@ profile-serve:
 
 profile-kernel:
 	$(PYTHON) tools/profile_hotpath.py --target kernel
-
-profile-native:
-	$(PYTHON) tools/profile_hotpath.py --target kernel --tier native
 
 profile-hierarchy:
 	$(PYTHON) tools/profile_hotpath.py --target hierarchy

@@ -1,16 +1,15 @@
-"""Native tier at steady state: parity and the 3x gate at K = 256.
+"""Fused tier's array program at steady state: parity and the 1.2x gate.
 
-Runs the same K = 256 Monte-Carlo fleet on the fused and native kernel
-tiers and checks bit-for-bit parity of every window stream plus the
-native tier's headline: with numba importable (the JIT rung) the native
-step is at least 3x faster than the fused tier at a steady-state fleet
-width of 256 rows per window step.  Without numba the NumPy twin rung
-runs the identical array program interpreted — parity still holds and
-the twin must still clear a more modest floor.
+Runs the same K = 256 Monte-Carlo fleet through the fused tier's two
+implementations — the array program (:mod:`repro.core.native`, what the
+default tier runs on the NumPy backend) and the pure-Python cohort loop
+(``kernel._step_cohorts``, called directly as the baseline arm) — checks
+bit-for-bit parity of every window stream, and gates the array program
+at ≥ 1.2x over the cohort loop.
 
 The workload is fragment-heavy on purpose: five GOPs per window and
 2 KiB packets put ~190 packets in each window span, which is where the
-fused tier's per-packet Python dominates and the compiled kernels pull
+cohort loop's per-packet Python dominates and the matrix passes pull
 away.  The near-clean channel (``p_good=0.99``) keeps most rows on the
 collapsed cohort path, matching the serve-side steady state.
 """
@@ -23,7 +22,6 @@ import time
 from repro import accel
 from repro.core import kernel
 from repro.core.batch import run_sessions_batch
-from repro.core.native import kernels as native_kernels
 from repro.core.protocol import ProtocolConfig
 from repro.media.gop import GOP_12
 from repro.media.stream import make_video_stream
@@ -42,15 +40,23 @@ CONFIG = ProtocolConfig(
 STREAM = make_video_stream(GOP_12, 256)
 SEEDS = tuple(range(SESSIONS))
 
+#: The fused tier's per-step dispatch (array program on NumPy).
+ARRAY = kernel._step_fused
+#: Its pure-Python cohort loop, the baseline arm.
+COHORTS = kernel._step_cohorts
 
-def _run(tier: str):
+
+def _run(step=ARRAY):
+    """One sweep on the fused tier, its step bound to ``step``."""
     previous = kernel.tier_name()
-    kernel.set_tier(tier)
+    kernel.set_tier(kernel.FUSED)
+    kernel._step_fused = step
     try:
         return run_sessions_batch(
             STREAM, CONFIG, seeds=SEEDS, max_windows=WINDOWS
         )
     finally:
+        kernel._step_fused = ARRAY
         kernel.set_tier(previous)
 
 
@@ -64,53 +70,48 @@ def _canon(results):
 
 
 def test_bench_native_steady_state(benchmark, show):
-    _run("native")  # warm permutation / stream / shape caches
-    result = benchmark.pedantic(lambda: _run("native"), rounds=3, iterations=1)
+    _run()  # warm permutation / stream / shape caches
+    result = benchmark.pedantic(_run, rounds=3, iterations=1)
     assert len(result) == SESSIONS
-    rung = "jit" if native_kernels.numba_available() else "twin"
     show(
-        f"native tier ({rung} rung) on the {accel.backend_name()} backend: "
+        f"fused tier on the {accel.backend_name()} backend: "
         f"K={SESSIONS}, {SESSIONS * WINDOWS} windows"
     )
 
 
 def test_bench_native_speedup_and_parity(benchmark, show):
-    _run("fused")  # warm permutation / stream / shape caches
+    _run(COHORTS)  # warm permutation / stream / shape caches
 
-    # Interleaved min-of-3 on both tiers: scheduler and allocator noise
-    # hits both arms alike, so the minima give the honest ratio.
-    fused_times = []
-    native_times = []
+    # Interleaved min-of-3 on both arms: scheduler and allocator noise
+    # hits both alike, so the minima give the honest ratio.
+    loop_times = []
+    array_times = []
     expected = got = None
     for _ in range(3):
         gc.collect()
         started = time.perf_counter()
-        expected = _run("fused")
-        fused_times.append(time.perf_counter() - started)
+        expected = _run(COHORTS)
+        loop_times.append(time.perf_counter() - started)
         gc.collect()
         started = time.perf_counter()
-        got = _run("native")
-        native_times.append(time.perf_counter() - started)
+        got = _run()
+        array_times.append(time.perf_counter() - started)
 
     assert _canon(expected) == _canon(got)
 
-    # Record the native arm for regression gating (tools/bench_compare.py).
-    benchmark.pedantic(lambda: _run("native"), rounds=1, iterations=1)
+    # Record the array arm for regression gating (tools/bench_compare.py).
+    benchmark.pedantic(_run, rounds=1, iterations=1)
 
-    fused_time = min(fused_times)
-    native_time = min(native_times)
-    speedup = fused_time / native_time
+    loop_time = min(loop_times)
+    array_time = min(array_times)
+    speedup = loop_time / array_time
     windows = SESSIONS * WINDOWS
-    rung = "jit" if native_kernels.numba_available() else "twin"
     show(
-        f"fused {fused_time:.3f}s, native ({rung} rung) {native_time:.3f}s "
+        f"cohort loop {loop_time:.3f}s, fused tier {array_time:.3f}s "
         f"=> {speedup:.2f}x on the {accel.backend_name()} backend "
         f"(K={SESSIONS}, {windows} windows, "
-        f"{windows / native_time:,.0f} windows/sec)"
+        f"{windows / array_time:,.0f} windows/sec)"
     )
     if accel.backend_name() != "numpy":
-        return  # pure backend: native downgrades to fused wholesale
-    if native_kernels.numba_available():
-        assert speedup >= 3.0
-    else:
-        assert speedup >= 1.2
+        return  # pure backend: both arms run the cohort loop
+    assert speedup >= 1.2

@@ -44,7 +44,6 @@ __all__ = [
     "set_backend",
     "unpermute",
     "worst_clf",
-    "worst_run_matrix",
 ]
 
 PURE = "pure"
@@ -200,16 +199,6 @@ def batch_worst_clf(indicators: Sequence[Sequence[int]]) -> List[int]:
     if obs.enabled():
         obs.counter("accel.calls.batch_worst_clf").inc()
     return _backend().batch_worst_clf(indicators)
-
-
-def worst_run_matrix(indicators) -> List[int]:
-    """Longest truthy run per row of a rectangular 0/1 matrix.
-
-    The native kernel tier's variant of :func:`batch_worst_clf`: array
-    callers keep their columnar layout end to end (the NumPy backend
-    scans the matrix without the small-batch delegation cutoff).
-    """
-    return _backend().worst_run_matrix(indicators)
 
 
 def loss_run_lengths(states: Sequence) -> List[int]:

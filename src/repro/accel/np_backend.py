@@ -35,25 +35,6 @@ def _run_lengths(mask: "np.ndarray") -> "np.ndarray":
     return c - floor
 
 
-def worst_run_matrix(indicators) -> List[int]:
-    """Longest truthy run per row of a rectangular 0/1 matrix.
-
-    The array-native variant of :func:`batch_worst_clf`: accepts an
-    ndarray (or nested lists) directly, never delegates by batch size,
-    and keeps the whole scan columnar — the shape the native kernel
-    tier's receiver feeds it.
-    """
-    arr = np.asarray(indicators, dtype=bool)
-    if arr.ndim != 2:
-        raise ValueError("worst_run_matrix needs a rectangular 2-D matrix")
-    rows, cols = arr.shape
-    if rows == 0:
-        return []
-    if cols == 0:
-        return [0] * rows
-    return _run_lengths(arr).max(axis=-1).tolist()
-
-
 def batch_burst_runs(
     orders: Sequence[Sequence[int]], burst: int
 ) -> List[List[int]]:

@@ -122,16 +122,6 @@ def batch_worst_clf(indicators: Sequence[Sequence[int]]) -> List[int]:
     return out
 
 
-def worst_run_matrix(indicators) -> List[int]:
-    """Longest truthy run per row of a rectangular 0/1 matrix.
-
-    Scalar twin of the NumPy backend's columnar scan; identical to
-    :func:`batch_worst_clf` row by row (the rectangularity requirement
-    is the array backend's, not a semantic one).
-    """
-    return batch_worst_clf(indicators)
-
-
 def loss_run_lengths(states: Sequence) -> List[int]:
     """Lengths of the maximal truthy runs in one indicator sequence."""
     runs: List[int] = []

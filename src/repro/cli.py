@@ -528,72 +528,79 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         if shards < 1:
             print("--shards must be at least 1", file=out)
             return 2
+    # --manifest-out records metrics for this command only: an in-process
+    # caller finds recording as it left it.
+    was_enabled = obs.enabled()
     if args.manifest_out is not None:
         obs.enable()
         obs.reset()
-    spec = LoadSpec(
-        sessions=args.sessions,
-        seed=args.seed,
-        mean_interarrival=args.mean_interarrival,
-        gop_count=args.gops,
-        max_windows=args.windows,
-    )
-    started = time.perf_counter()
-    if shards > 1:
-        result = run_hierarchy(
-            spec,
-            args.capacity_mbps * 1e6,
-            shards=shards,
-            scheduler=args.scheduler,
-            shedding=not args.no_shedding,
-            admission=not args.no_admission,
+    try:
+        spec = LoadSpec(
+            sessions=args.sessions,
+            seed=args.seed,
+            mean_interarrival=args.mean_interarrival,
+            gop_count=args.gops,
+            max_windows=args.windows,
         )
-    else:
-        result = serve_sessions(
-            generate_requests(spec),
-            args.capacity_mbps * 1e6,
-            fast=args.fast,
-            scheduler=make_scheduler(args.scheduler),
-            shedding=not args.no_shedding,
-            admission=not args.no_admission,
-        )
-    wall = time.perf_counter() - started
-    labelled = _labelled_outcomes(result)
-    rows = []
-    for label, outcome in labelled:
-        session = outcome.result
-        rows.append(
-            (
-                label,
-                outcome.request.priority,
-                "yes" if outcome.admitted else "NO",
-                f"{session.mean_clf:.2f}" if session else "-",
-                session.stream_clf if session else "-",
-                outcome.shed_frames,
-                f"{outcome.min_share_bps / 1e6:.2f}" if outcome.admitted else "-",
+        started = time.perf_counter()
+        if shards > 1:
+            result = run_hierarchy(
+                spec,
+                args.capacity_mbps * 1e6,
+                shards=shards,
+                scheduler=args.scheduler,
+                shedding=not args.no_shedding,
+                admission=not args.no_admission,
             )
+        else:
+            result = serve_sessions(
+                generate_requests(spec),
+                args.capacity_mbps * 1e6,
+                fast=args.fast,
+                scheduler=make_scheduler(args.scheduler),
+                shedding=not args.no_shedding,
+                admission=not args.no_admission,
+            )
+        wall = time.perf_counter() - started
+        labelled = _labelled_outcomes(result)
+        rows = []
+        for label, outcome in labelled:
+            session = outcome.result
+            rows.append(
+                (
+                    label,
+                    outcome.request.priority,
+                    "yes" if outcome.admitted else "NO",
+                    f"{session.mean_clf:.2f}" if session else "-",
+                    session.stream_clf if session else "-",
+                    outcome.shed_frames,
+                    f"{outcome.min_share_bps / 1e6:.2f}" if outcome.admitted else "-",
+                )
+            )
+        print(
+            render_table(
+                ["session", "prio", "admitted", "mean CLF", "stream CLF", "shed",
+                 "min share Mbps"],
+                rows,
+                title=result.describe(),
+            ),
+            file=out,
         )
-    print(
-        render_table(
-            ["session", "prio", "admitted", "mean CLF", "stream CLF", "shed",
-             "min share Mbps"],
-            rows,
-            title=result.describe(),
-        ),
-        file=out,
-    )
-    for label, outcome in labelled:
-        if not outcome.admitted:
-            print(f"rejected {label}: {outcome.reason}", file=out)
-    if args.manifest_out is not None:
-        from repro.experiments.persist import save_run_manifest
+        for label, outcome in labelled:
+            if not outcome.admitted:
+                print(f"rejected {label}: {outcome.reason}", file=out)
+        if args.manifest_out is not None:
+            from repro.experiments.persist import save_run_manifest
 
-        manifest = build_service_manifest(
-            result, seed=args.seed, wall_seconds=wall
-        )
-        path = save_run_manifest(manifest, args.manifest_out)
-        print(f"wrote manifest to {path}", file=out)
-    return 0
+            manifest = build_service_manifest(
+                result, seed=args.seed, wall_seconds=wall
+            )
+            path = save_run_manifest(manifest, args.manifest_out)
+            print(f"wrote manifest to {path}", file=out)
+        return 0
+    finally:
+        if not was_enabled:
+            obs.disable()
 
 
 def _cmd_serve_plan(args: argparse.Namespace, out) -> int:

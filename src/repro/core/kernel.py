@@ -16,7 +16,7 @@ and ``serve.fastpath`` all route window advancement through it.
 
 Tiers
 -----
-Three execution tiers produce bit-for-bit identical results (the
+Two execution tiers produce bit-for-bit identical results (the
 differential suites in ``tests/core`` and ``tests/serve`` pin this on
 both accel backends, with and without NumPy):
 
@@ -24,13 +24,15 @@ both accel backends, with and without NumPy):
     The row engine's original shape: a scalar per-row sender loop,
     then a receiver pass whose continuity and per-layer burst
     measurements stack into :func:`repro.accel.batch_worst_clf` calls.
+    It is the differential oracle of the fast tier.
 
 ``fused``
-    A single pass per window batch: loss flags are Gilbert-sampled in
+    The fast tier (and the default).  Loss flags are Gilbert-sampled in
     one stacked prefetch, the window's first-attempt serialization
     timeline — which is loss-independent — is computed once per
-    (permutation plan, window) and shared by the whole group, and rows
-    are then dispatched by what their own randomness requires:
+    (permutation plan, window, shed set) and shared by every row timed
+    by the same :class:`WindowInfo`, and rows are then dispatched by
+    what their own randomness requires:
 
     * *full collapse* — rows whose span of loss flags is clean take
       the shared timeline **and** the shared receiver verdict
@@ -43,29 +45,22 @@ both accel backends, with and without NumPy):
       retransmit a lost anchor replay the reference sender loop
       (retransmission timing is data-dependent).
 
-    Timelines are keyed by (plan, window, shed set) on the row's own
-    :class:`WindowInfo`, so rows at different bottleneck shares, and
-    rows that shed frames, still collapse.
+    Each step picks one of two implementations of that split from two
+    facts, with no warning: on the NumPy accel backend and for windows
+    of at most 63 frames (the received-bitmask word) it runs the array
+    program of :mod:`repro.core.native` — columnar Equation-1 folds,
+    and one matrix pass scoring every timeline-collapse row of the
+    step; otherwise it runs the pure-Python cohort loop
+    (:func:`_step_cohorts`).
 
     The tier dispatch counters (``kernel.dispatch.*``,
     ``kernel.collapse.*``) expose the split.
 
-``native``
-    The compiled tier (:mod:`repro.core.native`): the fused tier's
-    hot loop re-expressed as an array program over the FleetState
-    column ABI — drain/Equation-1 folds, burst bounds, loss masking,
-    CLF scoring and shed accounting run as whole-fleet kernels, JIT
-    compiled via Numba when it is importable and executed as their
-    NumPy twins otherwise.  Without NumPy (the pure backend) it falls
-    back to ``fused`` wholesale, recording the downgrade on the
-    ``kernel.native.fallback`` counter.
-
 Select a tier with :func:`set_tier`, or the ``REPRO_KERNEL``
-environment variable (``reference`` / ``fused`` / ``native`` /
-``auto``; ``auto`` resolves to ``fused``).  Tier choice is orthogonal
-to the accel backend: the fused tier runs — and is parity-tested — on
-the pure backend too; the NumPy backend vectorizes its stacked kernel
-calls.
+environment variable (``reference`` / ``fused`` / ``auto``; ``auto``
+resolves to ``fused``).  Tier choice is orthogonal to the accel
+backend: both tiers run — and are parity-tested — on the pure backend
+too.
 
 Fleet state
 -----------
@@ -117,7 +112,6 @@ from repro.poset.builders import independent_poset, ldu_poset
 __all__ = [
     "AUTO",
     "FUSED",
-    "NATIVE",
     "REFERENCE",
     "ENV_TIER",
     "CONTROL_PACKET_BYTES",
@@ -150,7 +144,6 @@ __all__ = [
     "step_window",
     "tier_name",
     "window_layout",
-    "writeback_native_rng",
 ]
 
 #: Seed offset of the feedback channel's Gilbert process
@@ -181,13 +174,12 @@ PREFETCH_WINDOWS = 8
 
 REFERENCE = "reference"
 FUSED = "fused"
-NATIVE = "native"
 AUTO = "auto"
 
 #: Environment variable selecting the kernel tier at import time.
 ENV_TIER = "REPRO_KERNEL"
 
-_TIERS = (REFERENCE, FUSED, NATIVE)
+_TIERS = (REFERENCE, FUSED)
 
 
 def available_tiers() -> Tuple[str, ...]:
@@ -212,11 +204,10 @@ _active_tier = _resolve(os.environ.get(ENV_TIER, AUTO))
 def set_tier(name: str) -> str:
     """Select the active kernel tier.
 
-    ``reference``/``fused``/``native``/``auto`` (``auto`` resolves to
-    ``fused``).  Returns the resolved tier name.  All tiers produce
-    identical results; ``reference`` exists for differential gating and
-    debugging, ``native`` for throughput (it downgrades to ``fused``
-    when its array kernels cannot run).
+    ``reference``/``fused``/``auto`` (``auto`` resolves to ``fused``).
+    Returns the resolved tier name.  Both tiers produce identical
+    results; ``fused`` is the fast tier, ``reference`` exists for
+    differential gating and debugging.
     """
     global _active_tier
     _active_tier = _resolve(name)
@@ -285,7 +276,7 @@ class WindowShape:
                 mask |= 1 << dep
             masks.append(mask)
         self.need_masks = masks
-        #: Native-tier shape precompute (column map, mask vectors);
+        #: Array-program shape precompute (column map, mask vectors);
         #: built lazily by :mod:`repro.core.native`.
         self.native = None
         self._plans: Dict[
@@ -492,8 +483,6 @@ class SessionRow:
         "ack_seq",
         "pending",
         "native_ctl",
-        "native_rng",
-        "native_flags",
         "horizon",
         "info",
         "__weakref__",
@@ -528,21 +517,10 @@ class SessionRow:
         self.collector = FeedbackCollector()
         self.ack_seq = 0
         self.pending: List[Tuple[float, Feedback]] = []
-        #: Columnar Equation-1 state owned by the native tier while it
-        #: steps this row (``None`` = the controller objects are truth).
+        #: Columnar Equation-1 state owned by the array program while
+        #: it steps this row (``None`` = the controller objects are
+        #: truth); see :mod:`repro.core.native.step`.
         self.native_ctl = None
-        #: ``(key, pos, drawn_at)`` while the native tier owns the
-        #: forward loss stream: the MT19937 state of ``fwd_rng`` (same
-        #: generator, same 53-bit doubles) as an int64 key array and
-        #: word index, positioned at absolute draw index ``drawn_at``.
-        #: ``None`` = ``fwd_rng`` is the truth.  See
-        #: :func:`writeback_native_rng`.
-        self.native_rng = None
-        #: NumPy bool mirror of ``flags`` (same indices, same length)
-        #: maintained by the native tier's prefetch so dirty-cohort flag
-        #: matrices slice without list round-trips.  Any scalar-path
-        #: mutation of ``flags`` sets this back to ``None``.
-        self.native_flags = None
         #: Windows this row will step in all, when its engine knows:
         #: caps the loss-flag prefetch depth (:func:`prefetch_windows`).
         #: ``None`` = unknown, prefetch the full ``PREFETCH_WINDOWS``.
@@ -560,9 +538,6 @@ class SessionRow:
         run replayed with the carried Gilbert state — exact, because the
         recurrence is per-draw Markov.
         """
-        if self.native_rng is not None:
-            writeback_native_rng(self)
-        self.native_flags = None
         draws = [self.fwd_rng.random() for _ in range(count)]
         if config.channel_phases is None:
             states = accel.gilbert_states(
@@ -603,30 +578,6 @@ class RowWindow:
 # ----------------------------------------------------------------------
 
 
-def writeback_native_rng(row: "SessionRow") -> None:
-    """Fold the native tier's bulk-draw stream back into ``fwd_rng``.
-
-    While the native tier owns a row's forward stream its MT19937 state
-    lives as an int64 key/pos array pair advanced by a compiled kernel
-    — the same generator and 53-bit double recipe as ``random.Random``,
-    so the streams are interchangeable bit for bit.  Any scalar-path
-    draw (:meth:`SessionRow.refill`, a fused-tier prefetch after a tier
-    switch) calls here first so the object stream resumes exactly where
-    the bulk stream stopped.
-    """
-    native = row.native_rng
-    if native is None:
-        return
-    row.native_rng = None
-    key, pos, drawn_at = native
-    if drawn_at != row.fwd_drawn:
-        # Defensive: the handoff marker and the draw counter can only
-        # disagree if fwd_rng advanced without a writeback, in which
-        # case the object stream is already the truth.
-        return
-    row.fwd_rng.setstate((3, tuple(key.tolist()) + (pos,), None))
-
-
 def prefetch_windows(row: SessionRow) -> int:
     """Windows' worth of loss flags one refill of ``row`` draws.
 
@@ -656,7 +607,6 @@ def plan_refills(
         if row.pos:
             del row.flags[: row.pos]
             row.pos = 0
-            row.native_flags = None
         missing = needed - len(row.flags)
         if missing > 0:
             entries.append((row, missing, needed))
@@ -687,9 +637,6 @@ def prefetch_flags(
     """
     if not entries:
         return
-    for row, _, _ in entries:
-        if row.native_rng is not None:
-            writeback_native_rng(row)
     chunk = max(
         max(missing, prefetch_windows(row) * needed)
         for row, missing, needed in entries
@@ -708,7 +655,6 @@ def prefetch_flags(
             if states:
                 row.fwd_bad = bool(states[-1])
             row.flags.extend(states)
-            row.native_flags = None
             row.fwd_drawn += chunk
         return
     cohorts: Dict[int, List[SessionRow]] = {}
@@ -731,7 +677,6 @@ def prefetch_flags(
             offset += take
         for row, bad in zip(rows, bads):
             row.fwd_bad = bad
-            row.native_flags = None
             row.fwd_drawn += chunk
 
 
@@ -1184,6 +1129,7 @@ class _Schedule:
         "sent_count",
         "layer_sizes",
         "clean",
+        "anchor_spans",
         "native",
     )
 
@@ -1226,8 +1172,10 @@ class _Schedule:
         self.sent_count = len(attempts)
         self.layer_sizes = {layer.index: layer.size for layer in plan.layers}
         self.clean: Optional[_CleanVerdict] = None
-        #: Native-tier timeline precompute (attempt offsets, arrival
-        #: masks, reduce boundaries); built lazily by ``core.native``.
+        #: ``(start, stop)`` packet spans of the anchor attempts and the
+        #: array program's receiver vectors; both built lazily by
+        #: ``core.native``.
+        self.anchor_spans: Optional[Tuple[Tuple[int, int], ...]] = None
         self.native = None
 
 
@@ -1320,6 +1268,90 @@ def _schedule_for(
     return sched
 
 
+#: Widest window the array program steps: its received-frame sets are
+#: one int64 bitmask per row.
+_ARRAY_MAX_FRAMES = 63
+
+
+def _collapse_clean(
+    row: SessionRow,
+    sched: _Schedule,
+    plan: LayeredPlan,
+    sequences: Tuple[Tuple[int, ...], ...],
+    info: WindowInfo,
+    config: ProtocolConfig,
+    window_index: int,
+    window_end: float,
+    slot_times: Sequence[float],
+    control_serialization: float,
+) -> WindowResult:
+    """Step one row whose flag span is clean: the full collapse.
+
+    The shared timeline *and* the shared receiver verdict apply — only
+    per-row containers and the feedback channel are touched.  Returns
+    the row's recorded :class:`WindowResult`.
+    """
+    span = sched.span
+    row.pos += span
+    if sched.attempts:
+        row.fwd_busy = sched.final_busy
+    row.result.packets_offered += span
+    verdict = sched.clean
+    if verdict is None:
+        verdict = _CleanVerdict(
+            sched, info, sequences, config.rtt / 2.0, slot_times
+        )
+        sched.clean = verdict
+    # Every container below is shared verdict state: clean rows never
+    # reach a receive phase, so nothing mutates them.
+    template = verdict.result_dict
+    if template is None:
+        result = WindowResult(
+            index=window_index,
+            frames=info.n,
+            transmission_order=plan.order,
+            layer_sizes=sched.layer_sizes,
+        )
+        result.sent = sched.sent_count
+        result.dropped_at_sender = sched.dropped
+        result.shed = sched.shed
+        result.received = verdict.received
+        result.playback_start = window_end + config.rtt / 2.0
+        result.arrival_times = verdict.arrival_times
+        result.late = verdict.late
+        result.decodable = verdict.decodable
+        result.unit_losses = verdict.unit_losses
+        result.clf = verdict.clf
+        result.layer_bursts = verdict.layer_bursts
+        result.first_attempt_stats = verdict.ack_stats
+        verdict.result_dict = dict(result.__dict__)
+    else:
+        result = WindowResult.__new__(WindowResult)
+        result.__dict__.update(template)
+    fb = verdict.ack_feedback
+    if fb is None or fb.sequence != row.ack_seq:
+        fb = Feedback(
+            sequence=row.ack_seq,
+            window_index=window_index,
+            burst_estimates=verdict.layer_bursts,
+            loss_rates=verdict.ack_loss_rates,
+            loss_statistics=verdict.ack_stats,
+        )
+        verdict.ack_feedback = fb
+    send_ack(
+        row,
+        config,
+        window_index,
+        window_end,
+        result,
+        control_serialization,
+        feedback=fb,
+    )
+    row.result.windows.append(result)
+    row.result.series.add_clf(result.clf, result.alf)
+    return result
+
+
 def _step_fused(
     rows: Sequence[SessionRow],
     info: WindowInfo,
@@ -1329,13 +1361,42 @@ def _step_fused(
     control_serialization: Union[float, Callable[[SessionRow], float]],
     shed_for,
 ) -> None:
+    """The fused tier: the array program where it runs, else the cohort loop.
+
+    The choice is made per step from two facts — the accel backend is
+    NumPy, and the window has at most :data:`_ARRAY_MAX_FRAMES` frames —
+    and both implementations are bit-for-bit equal, so a fleet may
+    take either from one window to the next.
+    """
+    if info.n <= _ARRAY_MAX_FRAMES and accel.backend_name() == "numpy":
+        # Imported lazily: the array program imports this module.
+        from repro.core.native import step_native
+
+        step_native(
+            rows, info, config, fps, window_index, control_serialization, shed_for
+        )
+    else:
+        _step_cohorts(
+            rows, info, config, fps, window_index, control_serialization, shed_for
+        )
+
+
+def _step_cohorts(
+    rows: Sequence[SessionRow],
+    info: WindowInfo,
+    config: ProtocolConfig,
+    fps: float,
+    window_index: int,
+    control_serialization: Union[float, Callable[[SessionRow], float]],
+    shed_for,
+) -> None:
+    """The fused tier's pure-Python cohort loop (any backend, any width)."""
     n = info.n
     cycle = info.cycle
     window_start = window_index * cycle
     window_end = window_start + cycle
     playback_start = window_end + config.rtt / 2.0
     slot_times = [playback_start + offset / fps for offset in range(n)]
-    rtt_half = config.rtt / 2.0
     retransmit = config.retransmit_anchors
     anchors = info.anchors
     scramble = config.scramble
@@ -1414,70 +1475,22 @@ def _step_fused(
                         lost_counts = counts
 
         if cohort == "clean":
-            # Full collapse: the shared timeline *and* the shared
-            # receiver verdict apply — only per-row containers and the
-            # feedback channel are touched.
             full_collapse += 1
-            span = sched.span
-            row.pos += span
-            if sched.attempts:
-                row.fwd_busy = sched.final_busy
-            row.result.packets_offered += span
-            packets_total += span
-            verdict = sched.clean
-            if verdict is None:
-                verdict = _CleanVerdict(
-                    sched, info, sequences, rtt_half, slot_times
+            packets_total += sched.span
+            all_results.append(
+                _collapse_clean(
+                    row,
+                    sched,
+                    plan,
+                    sequences,
+                    info,
+                    config,
+                    window_index,
+                    window_end,
+                    slot_times,
+                    control_serialization(row) if cs_fixed is None else cs_fixed,
                 )
-                sched.clean = verdict
-            # Every container below is shared verdict state: clean rows
-            # never reach the receive phase, so nothing mutates them.
-            template = verdict.result_dict
-            if template is None:
-                result = WindowResult(
-                    index=window_index,
-                    frames=n,
-                    transmission_order=plan.order,
-                    layer_sizes=sched.layer_sizes,
-                )
-                result.sent = sched.sent_count
-                result.dropped_at_sender = sched.dropped
-                result.shed = sched.shed
-                result.received = verdict.received
-                result.playback_start = playback_start
-                result.arrival_times = verdict.arrival_times
-                result.late = verdict.late
-                result.decodable = verdict.decodable
-                result.unit_losses = verdict.unit_losses
-                result.clf = verdict.clf
-                result.layer_bursts = verdict.layer_bursts
-                result.first_attempt_stats = verdict.ack_stats
-                verdict.result_dict = dict(result.__dict__)
-            else:
-                result = WindowResult.__new__(WindowResult)
-                result.__dict__.update(template)
-            fb = verdict.ack_feedback
-            if fb is None or fb.sequence != row.ack_seq:
-                fb = Feedback(
-                    sequence=row.ack_seq,
-                    window_index=window_index,
-                    burst_estimates=verdict.layer_bursts,
-                    loss_rates=verdict.ack_loss_rates,
-                    loss_statistics=verdict.ack_stats,
-                )
-                verdict.ack_feedback = fb
-            send_ack(
-                row,
-                config,
-                window_index,
-                window_end,
-                result,
-                control_serialization(row) if cs_fixed is None else cs_fixed,
-                feedback=fb,
             )
-            row.result.windows.append(result)
-            row.result.series.add_clf(result.clf, result.alf)
-            all_results.append(result)
         elif cohort == "timeline":
             # Timeline collapse: shared serialization times, per-row
             # deliveries; no retransmission tail can fire.
@@ -1662,13 +1675,6 @@ def step_window(
         obs.histogram("kernel.rows_per_window").observe(len(rows))
     if active == FUSED:
         _step_fused(
-            rows, info, config, fps, window_index, control_serialization, shed_for
-        )
-    elif active == NATIVE:
-        # Imported lazily: the native package imports this module.
-        from repro.core.native import step_native
-
-        step_native(
             rows, info, config, fps, window_index, control_serialization, shed_for
         )
     else:
@@ -1937,8 +1943,8 @@ class FleetState:
 
     Columns are named float64 vectors of equal length.
     :meth:`from_rows` snapshots a fleet's engine columns
-    (:data:`ROW_COLUMNS`); the native-tier parity tests compare these
-    snapshots across tiers.
+    (:data:`ROW_COLUMNS`); the tier parity tests compare these
+    snapshots across tiers and fused-tier implementations.
     """
 
     __slots__ = ("_names", "_columns", "rows")

@@ -1,20 +1,14 @@
-"""Native-speed kernel tier: compiled window stepping (``REPRO_KERNEL=native``).
+"""The fused tier's array program (NumPy backend, windows of ≤ 63 frames).
 
-The fused tier's hot loop re-expressed as an array program over the
-FleetState column ABI, JIT-compiled via Numba when it is importable and
-executed as exact NumPy twins otherwise.  See :mod:`.step` for the
-stepper and the columnar-state protocol, :mod:`.kernels` for the
-kernel pairs, and DESIGN.md ("Tier ABI") for the column and plan-array
-contract a compiled tier must honor.
-
-Numba is an optional dependency: this package never imports it at the
-top level of the repo, only when the native tier is selected, and every
-downgrade (no numba, no NumPy backend, window too wide for the 63-bit
-received mask) is recorded on the ``kernel.native.fallback`` counter
-with a once-per-process warning.
+The fused tier's cohort loop re-expressed as whole-step NumPy kernels
+over the FleetState column ABI.  ``kernel._step_fused`` runs it per
+step when the accel backend is NumPy and the window fits the 63-bit
+received mask, and the pure-Python cohort loop otherwise.  See
+:mod:`.step` for the stepper and the columnar-state protocol,
+:mod:`.kernels` for the kernels, and DESIGN.md ("Tier ABI") for the
+column and plan-array contract.
 """
 
-from repro.core.native.kernels import jit_status, numba_available
 from repro.core.native.step import step_native
 
-__all__ = ["jit_status", "numba_available", "step_native"]
+__all__ = ["step_native"]

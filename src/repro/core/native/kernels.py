@@ -1,414 +1,66 @@
-"""Hot-loop kernels of the native tier: Numba JIT with exact NumPy twins.
+"""NumPy kernels of the fused tier's array program.
 
-Each kernel exists twice, float-op for float-op identical:
+Each kernel executes, elementwise over float64/int64 arrays, exactly
+the IEEE-754 double operations of the scalar Python expression it
+replaces (``a*x + b*y`` over float64 arrays is the same sequence of
+rounded operations as the Python scalar expression), so the array
+program stays bit-for-bit equal to the pure-Python cohort loop.
 
-* a scalar loop suitable for ``numba.njit(cache=True)`` — compiled (or
-  loaded from the on-disk cache) eagerly at import, so the first stepped
-  window never pays the compile and any numba breakage downgrades here
-  rather than mid-run;
-* a NumPy array program executing the same IEEE-754 double operations
-  elementwise (``a*x + b*y`` over float64 arrays is the same sequence of
-  rounded operations as the Python scalar expression).
-
-:func:`numba_available` tells the stepper which rung it is on;
-:func:`jit_status` carries the downgrade reason into the warning the
-stepper emits once per process.
-
-The kernels operate on the native tier's columnar ABI (see DESIGN.md,
-"Tier ABI"): Equation-1 controller state as ``[R, 4L]`` float64 matrices
-(present / window / estimate / observations per layer), loss flags as
-``[D, span]`` bool matrices, attempt boundaries as int64 pack-start
-vectors.
+Equation-1 controller state is an ``[R, 4L]`` float64 matrix (present /
+window / estimate / observations per layer, ``base = 4 * column``);
+CLF and burst scans run over ``[D, width]`` bool matrices.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-try:  # pragma: no cover - exercised via the backend matrix in CI
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
-_NUMBA_STATUS: Optional[str] = None
-try:  # pragma: no cover - numba is an optional dependency
-    from numba import njit
-except Exception as exc:  # noqa: BLE001 - any import-time failure downgrades
-    njit = None
-    _NUMBA_STATUS = f"numba not importable: {exc}"
+import numpy as np
 
 
-# ----------------------------------------------------------------------
-# Scalar-loop bodies (the njit sources) and their NumPy twins
-# ----------------------------------------------------------------------
+def ewma_fold(M, base, size, clamped, alpha) -> None:
+    """Equation-1 fold of one (layer, observed-burst) pair into every row.
 
-
-def _ewma_fold_indexed_loop(M, idx, base, size, clamped, alpha):
-    """Equation-1 fold of one (layer, observed-burst) pair into rows ``idx``.
-
-    ``M`` is the ``[R, 4L]`` controller matrix; ``base = 4 * column``.
     Rows whose estimator is missing or sized for a different window are
     replaced first (fresh estimate ``size / 2``), mirroring
     ``AdaptiveController.observe`` exactly.
     """
     s = float(size)
-    half = s / 2.0
     ac = alpha * float(clamped)
     a1 = 1.0 - alpha
-    for t in range(idx.shape[0]):
-        i = idx[t]
-        if M[i, base] == 1.0 and M[i, base + 1] == s:
-            M[i, base + 2] = ac + a1 * M[i, base + 2]
-            M[i, base + 3] += 1.0
-        else:
-            M[i, base] = 1.0
-            M[i, base + 1] = s
-            M[i, base + 2] = ac + a1 * half
-            M[i, base + 3] = 1.0
+    ok = (M[:, base] == 1.0) & (M[:, base + 1] == s)
+    M[:, base + 2] = np.where(ok, ac + a1 * M[:, base + 2], ac + a1 * (s / 2.0))
+    M[:, base + 3] = np.where(ok, M[:, base + 3] + 1.0, 1.0)
+    M[:, base] = 1.0
+    M[:, base + 1] = s
 
 
-def _ewma_fold_indexed_np(M, idx, base, size, clamped, alpha):
-    s = float(size)
-    ac = alpha * float(clamped)
-    a1 = 1.0 - alpha
-    pres = M[idx, base]
-    win = M[idx, base + 1]
-    est = M[idx, base + 2]
-    obsv = M[idx, base + 3]
-    ok = (pres == 1.0) & (win == s)
-    M[idx, base + 2] = np.where(ok, ac + a1 * est, ac + a1 * (s / 2.0))
-    M[idx, base + 3] = np.where(ok, obsv + 1.0, 1.0)
-    M[idx, base] = 1.0
-    M[idx, base + 1] = s
-
-
-def _burst_bounds_loop(present, window, est, obsv, size, default, out):
+def burst_bounds(M, base, size, default):
     """Per-row burst bound of one layer; creates missing estimators.
 
     Mirrors ``AdaptiveController.burst_bound``: missing (or re-sized)
-    estimators are replaced with the fresh ``size / 2`` estimate — whose
-    bound is ``default`` — and the bound is ``max(1, min(size,
-    ceil(estimate)))``.
+    estimators are replaced in ``M`` with the fresh ``size / 2``
+    estimate — whose bound is ``default`` — and the bound is
+    ``max(1, min(size, ceil(estimate)))``.  Returns an int64 vector.
     """
     s = float(size)
-    half = s / 2.0
-    for i in range(out.shape[0]):
-        if present[i] == 1.0 and window[i] == s:
-            b = int(np.ceil(est[i]))
-            if b > size:
-                b = size
-            if b < 1:
-                b = 1
-            out[i] = b
-        else:
-            present[i] = 1.0
-            window[i] = s
-            est[i] = half
-            obsv[i] = 0.0
-            out[i] = default
-
-
-def _burst_bounds_np(present, window, est, obsv, size, default, out):
-    s = float(size)
+    present = M[:, base]
+    window = M[:, base + 1]
     ok = (present == 1.0) & (window == s)
-    b = np.minimum(np.ceil(est), s)
+    b = np.minimum(np.ceil(M[:, base + 2]), s)
     np.maximum(b, 1.0, out=b)
-    out[:] = np.where(ok, b.astype(np.int64), default)
+    out = np.where(ok, b.astype(np.int64), default)
     miss = ~ok
     if miss.any():
         present[miss] = 1.0
         window[miss] = s
-        est[miss] = s / 2.0
-        obsv[miss] = 0.0
-
-
-def _attempt_losses_loop(flags, bounds):
-    """Lost-packet count per (row, attempt): sum flags between boundaries."""
-    d, s = flags.shape
-    a = bounds.shape[0]
-    out = np.zeros((d, a), dtype=np.int64)
-    for i in range(d):
-        for k in range(a):
-            start = bounds[k]
-            stop = bounds[k + 1] if k + 1 < a else s
-            c = 0
-            for j in range(start, stop):
-                if flags[i, j]:
-                    c += 1
-            out[i, k] = c
+        M[miss, base + 2] = s / 2.0
+        M[miss, base + 3] = 0.0
     return out
 
 
-def _attempt_losses_np(flags, bounds):
-    return np.add.reduceat(flags.astype(np.int32), bounds, axis=1).astype(
-        np.int64
-    )
-
-
-def _receiver_scan_loop(
-    flags,
-    reduce_idx,
-    offsets,
-    ontime,
-    need_masks,
-    seq_matrix,
-    seq_lens,
-    received,
-    not_decodable,
-    frame_lost,
-    lost_totals,
-    lost_frames,
-    runs,
-    late,
-    unit_losses,
-    clfs,
-    bursts,
-):
-    """One dirty cohort's whole receiver phase in a single pass.
-
-    Per row: per-attempt lost-packet counts (``flags`` summed between
-    the ``reduce_idx`` pack boundaries), the on-time received set and
-    its 63-bit frame mask, late count, decodability against the shape's
-    ``need_masks``, CLF (worst not-decodable run), first-attempt loss
-    runs, and per-layer worst bursts over the ``seq_matrix``
-    transmission sequences.  Exactly the NumPy twin chain in
-    ``step_native`` phase 4, one row at a time instead of one matrix op
-    at a time.  All masks are int64 — the native tier already falls
-    back to the fused tier beyond 63 frames.
-    """
-    d, span = flags.shape
-    attempts = reduce_idx.shape[0]
-    n = need_masks.shape[0]
-    layers = seq_lens.shape[0]
-    for r in range(d):
-        mask = 0
-        lost_total = 0
-        lost_count = 0
-        run_count = 0
-        late_count = 0
-        previous = False
-        for k in range(attempts):
-            start = reduce_idx[k]
-            stop = reduce_idx[k + 1] if k + 1 < attempts else span
-            c = 0
-            for j in range(start, stop):
-                if flags[r, j]:
-                    c += 1
-            lost_total += c
-            lost = c > 0
-            frame_lost[r, k] = lost
-            hit = False
-            if lost:
-                lost_count += 1
-                if not previous:
-                    run_count += 1
-            elif ontime[k]:
-                hit = True
-                mask |= 1 << offsets[k]
-            else:
-                late_count += 1
-            received[r, k] = hit
-            previous = lost
-        lost_totals[r] = lost_total
-        lost_frames[r] = lost_count
-        runs[r] = run_count
-        late[r] = late_count
-        unit = 0
-        run = 0
-        best = 0
-        for f in range(n):
-            blocked = (need_masks[f] & ~mask) != 0
-            not_decodable[r, f] = blocked
-            if blocked:
-                unit += 1
-                run += 1
-                if run > best:
-                    best = run
-            else:
-                run = 0
-        unit_losses[r] = unit
-        clfs[r] = best
-        for q in range(layers):
-            run = 0
-            best = 0
-            for t in range(seq_lens[q]):
-                if ((mask >> seq_matrix[q, t]) & 1) == 0:
-                    run += 1
-                    if run > best:
-                        best = run
-                else:
-                    run = 0
-            bursts[q, r] = best
-
-
-def _mt_gilbert_fill_loop(keys, poss, bads, p_good, p_bad, out):
-    """Draw uniforms off each row's MT19937 and scan Gilbert in one pass.
-
-    ``keys`` is the ``[R, 624]`` int64 Mersenne key matrix (values in
-    uint32 range), ``poss`` the per-row word index, ``bads`` the per-row
-    channel state (1 = BAD) — all advanced in place.  ``out[r, t]`` is
-    True when row ``r``'s packet ``t`` is lost.
-
-    The generator is CPython's ``random.Random`` verbatim: the standard
-    MT19937 twist/temper recurrence and the 53-bit double recipe
-    ``((a >> 5) * 2^26 + (b >> 6)) / 2^53`` — so the flags match a
-    ``fwd_rng.random()`` draw loop bit for bit, and the key/pos state
-    round-trips through ``getstate``/``setstate``.
-    """
-    count = out.shape[1]
-    for r in range(keys.shape[0]):
-        key = keys[r]
-        pos = poss[r]
-        bad = bads[r] != 0
-        for t in range(count):
-            if pos >= 624:
-                for i in range(624):
-                    y = (key[i] & 0x80000000) | (key[(i + 1) % 624] & 0x7FFFFFFF)
-                    nxt = key[(i + 397) % 624] ^ (y >> 1)
-                    if y & 1:
-                        nxt ^= 0x9908B0DF
-                    key[i] = nxt
-                pos = 0
-            y = key[pos]
-            pos += 1
-            y ^= y >> 11
-            y ^= (y << 7) & 0x9D2C5680
-            y ^= (y << 15) & 0xEFC60000
-            y ^= y >> 18
-            a = y >> 5
-            if pos >= 624:
-                for i in range(624):
-                    y = (key[i] & 0x80000000) | (key[(i + 1) % 624] & 0x7FFFFFFF)
-                    nxt = key[(i + 397) % 624] ^ (y >> 1)
-                    if y & 1:
-                        nxt ^= 0x9908B0DF
-                    key[i] = nxt
-                pos = 0
-            y = key[pos]
-            pos += 1
-            y ^= y >> 11
-            y ^= (y << 7) & 0x9D2C5680
-            y ^= (y << 15) & 0xEFC60000
-            y ^= y >> 18
-            draw = (a * 67108864.0 + (y >> 6)) / 9007199254740992.0
-            if bad:
-                if draw >= p_bad:
-                    bad = False
-            else:
-                if draw >= p_good:
-                    bad = True
-            out[r, t] = bad
-        poss[r] = pos
-        bads[r] = 1 if bad else 0
-
-
-def _worst_runs_loop(mat):
+def worst_runs(mat):
     """Longest run of True per row of a bool matrix (the CLF scan)."""
-    d, s = mat.shape
-    out = np.zeros(d, dtype=np.int64)
-    for i in range(d):
-        best = 0
-        run = 0
-        for j in range(s):
-            if mat[i, j]:
-                run += 1
-                if run > best:
-                    best = run
-            else:
-                run = 0
-        out[i] = best
-    return out
-
-
-def _worst_runs_np(mat):
     if mat.shape[1] == 0:
         return np.zeros(mat.shape[0], dtype=np.int64)
     c = np.cumsum(mat, axis=1, dtype=np.int64)
     floor = np.maximum.accumulate(np.where(mat, 0, c), axis=1)
     return (c - floor).max(axis=1)
-
-
-# ----------------------------------------------------------------------
-# Eager compile / downgrade
-# ----------------------------------------------------------------------
-
-_JIT = False
-if np is not None and njit is not None:
-    try:  # pragma: no cover - needs numba (the kernel-native-smoke CI job)
-        _jit_ewma = njit(cache=True)(_ewma_fold_indexed_loop)
-        _jit_bounds = njit(cache=True)(_burst_bounds_loop)
-        _jit_losses = njit(cache=True)(_attempt_losses_loop)
-        _jit_runs = njit(cache=True)(_worst_runs_loop)
-        _jit_mt = njit(cache=True)(_mt_gilbert_fill_loop)
-        _jit_recv = njit(cache=True)(_receiver_scan_loop)
-        _m = np.full((2, 4), 1.0, dtype=np.float64)
-        _jit_ewma(_m, np.array([0, 1], dtype=np.int64), 0, 4, 2, 0.5)
-        _o = np.empty(2, dtype=np.int64)
-        _jit_bounds(_m[:, 0], _m[:, 1], _m[:, 2], _m[:, 3], 4, 2, _o)
-        _f = np.array([[True, False, True]], dtype=np.bool_)
-        _jit_losses(_f, np.array([0, 1], dtype=np.int64))
-        _jit_runs(_f)
-        _jit_mt(
-            np.arange(624, dtype=np.int64)[None, :].copy(),
-            np.array([624], dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            0.9,
-            0.6,
-            np.empty((1, 3), dtype=np.bool_),
-        )
-        _jit_recv(
-            _f,
-            np.array([0, 1], dtype=np.int64),
-            np.array([0, 1], dtype=np.int64),
-            np.array([True, True], dtype=np.bool_),
-            np.array([1, 2], dtype=np.int64),
-            np.array([[0, 1]], dtype=np.int64),
-            np.array([2], dtype=np.int64),
-            np.empty((1, 2), dtype=np.bool_),
-            np.empty((1, 2), dtype=np.bool_),
-            np.empty((1, 2), dtype=np.bool_),
-            np.empty(1, dtype=np.int64),
-            np.empty(1, dtype=np.int64),
-            np.empty(1, dtype=np.int64),
-            np.empty(1, dtype=np.int64),
-            np.empty(1, dtype=np.int64),
-            np.empty(1, dtype=np.int64),
-            np.empty((1, 1), dtype=np.int64),
-        )
-        _JIT = True
-    except Exception as exc:  # noqa: BLE001 - compile failure downgrades
-        _NUMBA_STATUS = f"numba compile failed: {exc}"
-        _JIT = False
-
-if _JIT:  # pragma: no cover - needs numba
-    ewma_fold_indexed = _jit_ewma
-    burst_bounds = _jit_bounds
-    attempt_losses = _jit_losses
-    mt_gilbert_fill = _jit_mt
-    receiver_scan = _jit_recv
-
-    def worst_runs(mat):
-        return _jit_runs(mat)
-
-else:
-    ewma_fold_indexed = _ewma_fold_indexed_np
-    burst_bounds = _burst_bounds_np
-    attempt_losses = _attempt_losses_np
-    worst_runs = _worst_runs_np
-    #: No array twins for the whole-phase kernels: the twin rung
-    #: prefetches through the object streams (``kernel.prefetch_flags``
-    #: beats emulating MT19937 in interpreted Python) and runs the
-    #: receiver as the matrix-op chain in ``step_native`` phase 4.
-    #: ``None`` tells the stepper which rung it is on.
-    mt_gilbert_fill = None
-    receiver_scan = None
-
-
-def numba_available() -> bool:
-    """True when the JIT rung is active (compiled kernels dispatched)."""
-    return _JIT
-
-
-def jit_status() -> Optional[str]:
-    """Why the JIT rung is inactive (``None`` when it is active)."""
-    return None if _JIT else (_NUMBA_STATUS or "numba not importable")

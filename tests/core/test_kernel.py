@@ -332,6 +332,7 @@ class TestTierSelection:
         assert kernel.FUSED in kernel.available_tiers()
 
     def test_set_tier_resolves_auto_to_fused(self):
+        assert kernel.available_tiers() == ("reference", "fused")
         assert kernel.set_tier(kernel.AUTO) == kernel.FUSED
         assert kernel.tier_name() == kernel.FUSED
 

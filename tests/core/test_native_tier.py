@@ -1,37 +1,42 @@
-"""The native kernel tier: fallbacks, tier plumbing and the loop pins.
+"""The fused tier's two implementations: dispatch, plumbing and parity.
 
-The native tier's contract has three legs the parity batteries alone do
-not cover:
+``fused`` runs the array program (:mod:`repro.core.native`) when the
+accel backend is NumPy and the window has at most 63 frames, and the
+pure-Python cohort loop (``kernel._step_cohorts``) otherwise.  The
+contract pinned here, beyond the general parity batteries:
 
-* **Graceful degradation.**  ``REPRO_KERNEL=native`` on a box without
-  numba (or without NumPy) must not crash: the step downgrades —
-  warning once, bumping ``kernel.native.fallback`` — and still produces
-  bit-for-bit fused results.
-* **Tier plumbing.**  ``native`` is a first-class tier: it appears in
-  ``available_tiers()``, round-trips through ``set_tier``, and rows
-  stepped under it expose the same :class:`FleetState` columns as rows
-  stepped under ``fused`` — a mixed-tier fleet snapshot must survive
-  the shared-memory round trip unchanged.
-* **The compiled loops.**  ``_mt_gilbert_fill_loop`` and
-  ``_receiver_scan_loop`` are the source numba compiles; they are
-  pinned here in pure Python against ``random.Random`` / the reference
-  receiver so a drifted recurrence (or an operator-precedence slip in
-  the layer-burst scan) fails loudly even where numba is absent.
+* **Tier plumbing.**  ``reference`` and ``fused`` are the only tiers;
+  ``native`` is not a tier name.
+* **Silent dispatch.**  The per-step choice never warns: the pure
+  backend and a 72-frame window run the cohort loop with results equal
+  to the reference tier.
+* **One column ABI.**  Rows stepped by either implementation, or by the
+  reference tier, snapshot to the same :class:`FleetState` columns.
+* **Serving shapes.**  A flash-crowd fleet with premium viewers,
+  per-row shares, shedding and lost anchors is bit-for-bit equal on
+  the reference tier, the array program and the cohort loop.
+* **One receiver pass per step.**  The array receiver scores exactly
+  the step's timeline-collapse rows, in one call per window step.
 """
 
 from __future__ import annotations
 
 import random
+import warnings
+from dataclasses import replace
 
 import pytest
 
 from repro import accel, obs
 from repro.core import kernel
 from repro.core.batch import run_sessions_batch
-from repro.core.native import kernels, step
 from repro.core.protocol import ProtocolConfig
+from repro.errors import ConfigurationError
 from repro.media.gop import GopPattern
 from repro.media.stream import make_video_stream
+from repro.serve import bandwidth, service
+from repro.serve.admission import estimate_demand
+from repro.serve.loadgen import LoadSpec, generate_requests
 
 np = pytest.importorskip("numpy") if accel.backend_name() == "numpy" else None
 
@@ -45,10 +50,12 @@ def stream():
 
 
 @pytest.fixture(autouse=True)
-def _restore_tier():
-    previous = kernel.tier_name()
+def _restore_tier_and_backend():
+    tier = kernel.tier_name()
+    backend = accel.backend_name()
     yield
-    kernel.set_tier(previous)
+    kernel.set_tier(tier)
+    accel.set_backend(backend)
 
 
 def _canon(results):
@@ -62,67 +69,98 @@ def _sweep(stream, config, tier):
     )
 
 
-class TestTierPlumbing:
-    def test_native_is_an_available_tier(self):
-        assert kernel.NATIVE in kernel.available_tiers()
+def _steps_by(monkeypatch):
+    """Count the steps each fused-tier implementation takes."""
+    from repro.core import native
 
+    calls = {"array": 0, "cohorts": 0}
+    array_step = native.step_native
+    cohort_step = kernel._step_cohorts
+
+    def spy_array(*args):
+        calls["array"] += 1
+        array_step(*args)
+
+    def spy_cohorts(*args):
+        calls["cohorts"] += 1
+        cohort_step(*args)
+
+    monkeypatch.setattr(native, "step_native", spy_array)
+    monkeypatch.setattr(kernel, "_step_cohorts", spy_cohorts)
+    return calls
+
+
+class TestTierPlumbing:
     def test_every_available_tier_round_trips_set_tier(self):
         for tier in kernel.available_tiers():
             assert kernel.set_tier(tier) == tier
             assert kernel.tier_name() == tier
 
     def test_auto_does_not_resolve_to_native(self):
-        # ``auto`` stays on the fused tier: the native tier is an
-        # explicit opt-in until its JIT rung is the proven default.
+        assert kernel.available_tiers() == ("reference", "fused")
         assert kernel.set_tier(kernel.AUTO) == kernel.FUSED
 
+    def test_native_is_not_a_tier(self):
+        with pytest.raises(ConfigurationError):
+            kernel.set_tier("native")
 
-@pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")
+
 class TestGracefulFallback:
-    def test_no_numba_warns_counts_and_matches_fused(
-        self, stream, monkeypatch
-    ):
-        config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
-        expected = _sweep(stream, config, kernel.FUSED)
-
-        monkeypatch.setattr(kernels, "numba_available", lambda: False)
-        monkeypatch.setattr(
-            kernels, "jit_status", lambda: "numba not importable (test)"
-        )
-        monkeypatch.setattr(step, "_warned", set())
-        registry = obs.enable()
-        obs.reset()
-        try:
-            with pytest.warns(RuntimeWarning, match="no-numba"):
-                got = _sweep(stream, config, kernel.NATIVE)
-            counters = registry.snapshot()["counters"]
-        finally:
-            obs.disable()
-        assert _canon(got) == _canon(expected)
-        assert counters["kernel.native.fallback"] >= 1
-
     def test_wide_window_downgrades_to_fused(self, stream, monkeypatch):
+        """A 72-frame window runs the cohort loop, silently and exactly."""
         # 6 GOPs of 12 frames = 72 > the 63-bit received mask.
         wide = make_video_stream(GopPattern.parse("IBBPBBPBBPBB"), gop_count=12)
         config = ProtocolConfig(gops_per_window=6, p_good=0.9, p_bad=0.5)
-        expected = _sweep(wide, config, kernel.FUSED)
-        monkeypatch.setattr(step, "_warned", set())
-        with pytest.warns(RuntimeWarning, match="wide-window"):
-            got = _sweep(wide, config, kernel.NATIVE)
+        expected = _sweep(wide, config, kernel.REFERENCE)
+        calls = _steps_by(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sweep(wide, config, kernel.FUSED)
         assert _canon(got) == _canon(expected)
+        assert calls == {"array": 0, "cohorts": len(expected[0].windows)}
 
 
-class TestPureBackendFallback:
-    @pytest.mark.skipif(
-        accel.backend_name() == "numpy", reason="pure-backend leg"
-    )
-    def test_native_without_numpy_matches_fused(self, stream, monkeypatch):
+class TestDispatch:
+    def test_pure_backend_runs_the_cohort_loop_silently(
+        self, stream, monkeypatch
+    ):
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
-        expected = _sweep(stream, config, kernel.FUSED)
-        monkeypatch.setattr(step, "_warned", set())
-        with pytest.warns(RuntimeWarning, match="pure-backend"):
-            got = _sweep(stream, config, kernel.NATIVE)
+        expected = _sweep(stream, config, kernel.REFERENCE)
+        accel.set_backend("pure")
+        calls = _steps_by(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sweep(stream, config, kernel.FUSED)
         assert _canon(got) == _canon(expected)
+        assert calls == {"array": 0, "cohorts": MAX_WINDOWS}
+
+    @pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")
+    def test_numpy_backend_runs_the_array_program(self, stream, monkeypatch):
+        config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
+        calls = _steps_by(monkeypatch)
+        _sweep(stream, config, kernel.FUSED)
+        assert calls == {"array": MAX_WINDOWS, "cohorts": 0}
+
+
+def _step_rows(stream, config, tier, *, horizon=None):
+    windows = list(stream.windows(config.window_frames))[:MAX_WINDOWS]
+    shapes: dict = {}
+    infos = [
+        kernel.WindowInfo(window, config, stream.fps, shapes) for window in windows
+    ]
+    control = kernel.CONTROL_PACKET_BYTES * 8.0 / config.bandwidth_bps
+    rows = [kernel.SessionRow(config, seed, horizon) for seed in SEEDS]
+    for index, info in enumerate(infos):
+        kernel.step_window(
+            rows,
+            info,
+            config,
+            stream.fps,
+            index,
+            control_serialization=control,
+            tier=tier,
+        )
+    return rows, infos
 
 
 @pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")
@@ -132,159 +170,159 @@ class TestMixedTierFleetState:
     ):
         """Rows stepped under different tiers share one column ABI."""
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
-        windows = list(stream.windows(config.window_frames))[:MAX_WINDOWS]
-        shapes: dict = {}
-        infos = [
-            kernel.WindowInfo(window, config, stream.fps, shapes)
-            for window in windows
-        ]
-        control = kernel.CONTROL_PACKET_BYTES * 8.0 / config.bandwidth_bps
-
-        def run_rows(tier):
-            rows = [kernel.SessionRow(config, seed) for seed in SEEDS]
-            for index, info in enumerate(infos):
-                kernel.step_window(
-                    rows,
-                    info,
-                    config,
-                    stream.fps,
-                    index,
-                    control_serialization=control,
-                    tier=tier,
-                )
-            return rows
-
-        native_rows = run_rows(kernel.NATIVE)
-        fused_rows = run_rows(kernel.FUSED)
+        fused_rows, _ = _step_rows(stream, config, kernel.FUSED)
+        reference_rows, _ = _step_rows(stream, config, kernel.REFERENCE)
 
         # The numeric column surface is tier-invariant: the same seeds
         # stepped under either tier snapshot to identical columns.
         assert (
-            kernel.FleetState.from_rows(native_rows).as_dict()
-            == kernel.FleetState.from_rows(fused_rows).as_dict()
+            kernel.FleetState.from_rows(fused_rows).as_dict()
+            == kernel.FleetState.from_rows(reference_rows).as_dict()
         )
 
-        # And a *mixed* fleet — half native-stepped, half fused-stepped
-        # — survives the shared-memory round trip unchanged.
-        mixed = kernel.FleetState.from_rows(native_rows[:3] + fused_rows[3:])
+        # And a *mixed* fleet — half array-stepped, half reference-
+        # stepped — survives the shared-memory round trip unchanged.
+        mixed = kernel.FleetState.from_rows(fused_rows[:3] + reference_rows[3:])
         assert arena_round_trip(mixed) == mixed
 
-    def test_jit_rung_prefetch_obeys_the_horizon(self, stream, monkeypatch):
-        """Capped prefetch draws the same flags on the JIT rung as fused.
-
-        The interpreted ``_mt_gilbert_fill_loop`` stands in for the
-        compiled kernel, so the native bulk-draw prefetch runs here even
-        without numba.
-        """
+    def test_array_path_prefetch_obeys_the_horizon(self, stream):
+        """Capped prefetch draws the same flags on both implementations."""
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
-        windows = list(stream.windows(config.window_frames))[:MAX_WINDOWS]
-        shapes: dict = {}
-        infos = [
-            kernel.WindowInfo(window, config, stream.fps, shapes)
-            for window in windows
-        ]
-        control = kernel.CONTROL_PACKET_BYTES * 8.0 / config.bandwidth_bps
-
-        def run_rows(tier):
-            rows = [
-                kernel.SessionRow(config, seed, horizon=len(infos))
-                for seed in SEEDS
-            ]
-            for index, info in enumerate(infos):
-                kernel.step_window(
-                    rows,
-                    info,
-                    config,
-                    stream.fps,
-                    index,
-                    control_serialization=control,
-                    tier=tier,
-                )
-            return rows
-
-        fused_rows = run_rows(kernel.FUSED)
-        monkeypatch.setattr(
-            kernels, "mt_gilbert_fill", kernels._mt_gilbert_fill_loop
+        array_rows, infos = _step_rows(
+            stream, config, kernel.FUSED, horizon=MAX_WINDOWS
         )
-        native_rows = run_rows(kernel.NATIVE)
+        accel.set_backend("pure")
+        loop_rows, _ = _step_rows(stream, config, kernel.FUSED, horizon=MAX_WINDOWS)
         assert (
-            kernel.FleetState.from_rows(native_rows).as_dict()
-            == kernel.FleetState.from_rows(fused_rows).as_dict()
+            kernel.FleetState.from_rows(array_rows).as_dict()
+            == kernel.FleetState.from_rows(loop_rows).as_dict()
         )
         needed = infos[0].first_attempt_packets + kernel.PREFETCH_SLACK
-        for row in native_rows:
+        for row in array_rows:
             assert row.fwd_drawn < kernel.PREFETCH_WINDOWS * needed
 
 
+# ----------------------------------------------------------------------
+# Serving shapes: per-row shares, shedding and lost anchors in one step
+# ----------------------------------------------------------------------
+
+FLASH_SESSIONS = 24
+FLASH_OVERLOAD = 1.2
+
+
+def _flash_crowd(seed):
+    """A ``serve-flash``-shaped fleet: a quarter premium, 20% over capacity."""
+    spec = LoadSpec(
+        sessions=FLASH_SESSIONS,
+        seed=seed,
+        mean_interarrival=1e-3,
+        gop_count=16,
+        max_windows=8,
+        high_priority_fraction=0.0,
+    )
+    premium = set(random.Random(seed).sample(range(spec.sessions), spec.sessions // 4))
+    requests = [
+        replace(request, weight=2.0, priority=1) if index in premium else request
+        for index, request in enumerate(generate_requests(spec))
+    ]
+    probe = generate_requests(replace(spec, sessions=1))[0]
+    demand, _ = estimate_demand(
+        probe.stream, probe.config, max_windows=spec.max_windows
+    )
+    return requests, spec.sessions * demand / FLASH_OVERLOAD
+
+
+def _outcome(outcome):
+    result = outcome.result
+    return (
+        outcome.request.session_id,
+        outcome.admitted,
+        outcome.shed_frames,
+        outcome.share_bps,
+        None if result is None else (result.windows, result.series),
+    )
+
+
+def _serve(requests, capacity):
+    registry = obs.enable()
+    obs.reset()
+    try:
+        result = service.serve_sessions(
+            requests,
+            capacity,
+            fast=True,
+            scheduler=bandwidth.PriorityScheduler(),
+        )
+        counters = registry.snapshot()["counters"]
+    finally:
+        obs.disable()
+    return [_outcome(outcome) for outcome in result.outcomes], counters
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_serving_shape_parity(seed, monkeypatch):
+    """Reference tier, array program and cohort loop serve one fleet alike."""
+    requests, capacity = _flash_crowd(seed)
+    kernel.set_tier(kernel.REFERENCE)
+    expected, _ = _serve(requests, capacity)
+
+    # The fleet exercises what the serving path feeds the kernel.
+    shares = {share for _, admitted, _, share, _ in expected if admitted}
+    assert len(shares) > 1
+    assert any(shed for _, _, shed, _, _ in expected)
+
+    kernel.set_tier(kernel.FUSED)
+    runs = {}
+    backends = ["pure"] + (["numpy"] if np is not None else [])
+    for backend in backends:
+        accel.set_backend(backend)
+        calls = _steps_by(monkeypatch)
+        runs[backend] = _serve(requests, capacity)
+        monkeypatch.undo()
+        implementation = "array" if backend == "numpy" else "cohorts"
+        assert calls[implementation] > 0
+        assert sum(calls.values()) == calls[implementation]
+    for backend, (got, counters) in runs.items():
+        assert got == expected, backend
+        # Some rows lose an anchor (scalar tail), some are scored.
+        assert counters.get("kernel.collapse.scalar", 0) > 0, backend
+        assert counters.get("kernel.collapse.timeline", 0) > 0, backend
+    collapse = [
+        {name: value for name, value in counters.items() if "collapse" in name}
+        for _, counters in runs.values()
+    ]
+    assert all(split == collapse[0] for split in collapse)
+
+
 @pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")
-class TestLoopPins:
-    """Pure-Python pins of the loops numba compiles."""
+def test_array_receiver_runs_once_per_step_on_the_timeline_rows(monkeypatch):
+    """One receiver pass per window step, scoring only the rows it keeps."""
+    from repro.core.native import step
 
-    def _transplant(self, rng):
-        _, py_state, _ = rng.getstate()
-        key = np.array(py_state[:-1], dtype=np.int64)
-        return key, py_state[-1]
+    from repro.core import native
+    from repro.core.native import step
 
-    @pytest.mark.parametrize("seed", [0, 7, 4242])
-    @pytest.mark.parametrize("warmup", [0, 1, 623])
-    def test_mt_gilbert_fill_matches_random_random(self, seed, warmup):
-        """The fused draw+scan equals random.Random bit for bit.
+    requests, capacity = _flash_crowd(0)
+    kernel.set_tier(kernel.FUSED)
+    passes = []
+    per_step = []
+    receive = step._receive_timeline
+    array_step = native.step_native
 
-        ``warmup`` positions the word index right before the twist
-        boundary (623 words in: the two tempered words of one double
-        straddle the regeneration), the historical footgun of inlined
-        MT19937.
-        """
-        count = 700  # crosses at least one twist boundary
-        p_good, p_bad = 0.9, 0.55
-        reference = random.Random(seed)
-        for _ in range(warmup):
-            reference.random()
-        mirror = random.Random(seed)
-        mirror.setstate(reference.getstate())
+    def spy_receive(timeline, *args):
+        passes.append(len(timeline))
+        return receive(timeline, *args)
 
-        key, pos = self._transplant(reference)
-        keys = key.reshape(1, -1).copy()
-        poss = np.array([pos], dtype=np.int64)
-        bads = np.array([1 if seed % 2 else 0], dtype=np.int64)
-        out = np.zeros((1, count), dtype=np.bool_)
-        kernels._mt_gilbert_fill_loop(keys, poss, bads, p_good, p_bad, out)
+    def spy_step(*args):
+        before = len(passes)
+        array_step(*args)
+        per_step.append(len(passes) - before)
 
-        from repro.accel.pure import gilbert_states
-
-        draws = [mirror.random() for _ in range(count)]
-        expected = gilbert_states(draws, p_good, p_bad, bool(seed % 2))
-        assert out[0].tolist() == expected
-        assert bool(bads[0]) == expected[-1]
-
-        # The advanced key/pos state transplants back losslessly: the
-        # restored generator continues exactly where the mirror is.
-        restored = random.Random()
-        restored.setstate(
-            (3, tuple(int(word) for word in keys[0]) + (int(poss[0]),), None)
-        )
-        assert [restored.random() for _ in range(5)] == [
-            mirror.random() for _ in range(5)
-        ]
-
-    def test_receiver_scan_drives_step_native_to_fused_parity(
-        self, stream, monkeypatch
-    ):
-        """The interpreted JIT-rung loops reproduce the fused receiver.
-
-        Binding ``_mt_gilbert_fill_loop`` / ``_receiver_scan_loop`` in
-        place of the compiled kernels exercises the exact code numba
-        would compile — mirror-flag slicing, the int64 need-masks, the
-        layer-burst scan — against the fused tier, on a lossy layered
-        config where every scan output feeds back into the plan.
-        """
-        config = ProtocolConfig(gop_size=4, p_good=0.8, p_bad=0.45)
-        expected = _sweep(stream, config, kernel.FUSED)
-        monkeypatch.setattr(
-            kernels, "mt_gilbert_fill", kernels._mt_gilbert_fill_loop
-        )
-        monkeypatch.setattr(
-            kernels, "receiver_scan", kernels._receiver_scan_loop
-        )
-        got = _sweep(stream, config, kernel.NATIVE)
-        assert _canon(got) == _canon(expected)
+    monkeypatch.setattr(step, "_receive_timeline", spy_receive)
+    monkeypatch.setattr(native, "step_native", spy_step)
+    _, counters = _serve(requests, capacity)
+    assert len(per_step) == counters["kernel.steps"]
+    assert set(per_step) <= {0, 1} and sum(per_step) > 0
+    assert sum(passes) == counters["kernel.collapse.timeline"]
+    # Lost-anchor rows went to the scalar tail without being scored.
+    assert counters["kernel.collapse.scalar"] > 0

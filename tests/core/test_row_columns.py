@@ -225,25 +225,25 @@ class TestShedRowsCollapse:
             assert all(
                 window.shed > 0 for result in expected for window in result.windows
             )
-            for tier in (kernel.FUSED, kernel.NATIVE):
-                results, counters = self._run(config, tier, seeds, mask)
-                assert results == expected, (name, tier)
-                assert counters.get("kernel.collapse.scalar", 0) == 0, (name, tier)
-                collapsed = counters.get("kernel.collapse.full", 0) + counters.get(
-                    "kernel.collapse.timeline", 0
-                )
-                assert collapsed == WINDOWS * len(seeds), (name, tier)
-                if path is not None:
-                    assert counters[path] == WINDOWS * len(seeds), (name, tier)
-                else:
-                    assert counters.get("kernel.collapse.timeline", 0) > 0
+            results, counters = self._run(config, kernel.FUSED, seeds, mask)
+            assert results == expected, name
+            assert counters.get("kernel.collapse.scalar", 0) == 0, name
+            collapsed = counters.get("kernel.collapse.full", 0) + counters.get(
+                "kernel.collapse.timeline", 0
+            )
+            assert collapsed == WINDOWS * len(seeds), name
+            if path is not None:
+                assert counters[path] == WINDOWS * len(seeds), name
+            else:
+                assert counters.get("kernel.collapse.timeline", 0) > 0
 
     def test_shed_row_losing_an_anchor_stays_scalar(self):
         config = ProtocolConfig(gop_size=4, p_good=0.5, p_bad=0.9)
         seeds = range(1, 9)
         mask = 0b0110_0110
         expected, _ = self._run(config, kernel.REFERENCE, seeds, mask)
-        for tier in (kernel.FUSED, kernel.NATIVE):
-            results, counters = self._run(config, tier, seeds, mask)
-            assert results == expected, tier
-            assert counters.get("kernel.collapse.scalar", 0) > 0, tier
+        for name in accel.available_backends():
+            accel.set_backend(name)
+            results, counters = self._run(config, kernel.FUSED, seeds, mask)
+            assert results == expected, name
+            assert counters.get("kernel.collapse.scalar", 0) > 0, name

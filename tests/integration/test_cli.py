@@ -135,14 +135,14 @@ class TestServeCli:
 
         path = tmp_path / "sharded.json"
         out = io.StringIO()
-        try:
-            assert main(
-                ["serve", "--sessions", "6", "--shards", "2",
-                 "--manifest-out", str(path)],
-                out=out,
-            ) == 0
-        finally:
-            obs.disable()
+        before = obs.enabled()
+        assert main(
+            ["serve", "--sessions", "6", "--shards", "2",
+             "--manifest-out", str(path)],
+            out=out,
+        ) == 0
+        # The command restores the caller's recording state.
+        assert obs.enabled() == before
         assert "0:s00" in out.getvalue() and "1:s02" in out.getvalue()
         manifest = json.loads(path.read_text())
         assert validate_manifest(manifest) == []

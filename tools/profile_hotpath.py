@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tier",
         default=None,
-        help="kernel tier to profile under (reference, fused, native or "
+        help="kernel tier to profile under (reference, fused or "
         "auto); default: the session's resolved tier (REPRO_KERNEL)",
     )
     args = parser.parse_args(argv)
