@@ -81,7 +81,7 @@ import os
 import random
 import secrets
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import (
     Callable,
@@ -492,7 +492,7 @@ class SessionRow:
         self, config: ProtocolConfig, seed: int, horizon: Optional[int] = None
     ) -> None:
         self.result = SessionResult(
-            config=config if config.seed == seed else replace(config, seed=seed),
+            config=config if config.seed == seed else config.reseeded(seed),
             windows=[],
             series=WindowSeries(
                 label="scrambled" if config.scramble else "in-order"

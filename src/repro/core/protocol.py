@@ -25,7 +25,7 @@ budget and retransmission policy stay identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -110,6 +110,36 @@ class ProtocolConfig:
     def window_frames(self) -> int:
         """LDUs per buffer window: N = W x GOP."""
         return self.gops_per_window * self.gop_size
+
+    def reseeded(self, seed: int) -> "ProtocolConfig":
+        """This config under another ``seed``.
+
+        The fields were validated when this config was built, so the
+        copy skips ``__init__``/``__post_init__`` (``replace`` would
+        re-run both); equality and hash still read the dataclass fields.
+        """
+        clone = object.__new__(ProtocolConfig)
+        state = clone.__dict__
+        state.update(self.__dict__)
+        state["seed"] = seed
+        return clone
+
+    @property
+    def family(self) -> tuple:
+        """Every field but ``seed``: configs that differ only in seed share it.
+
+        Computed once per config and carried by :meth:`reseeded` copies.
+        """
+        family = self.__dict__.get("_family")
+        if family is None:
+            family = tuple(
+                getattr(self, name) for name in _CONFIG_FIELDS if name != "seed"
+            )
+            self.__dict__["_family"] = family
+        return family
+
+
+_CONFIG_FIELDS = tuple(spec.name for spec in fields(ProtocolConfig))
 
 
 @dataclass

@@ -56,7 +56,7 @@ together as :class:`_FleetExecution` slabs sharing one
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -262,7 +262,7 @@ class _FleetTables:
     def config_id(self, row: _FleetRow) -> int:
         config_ids = self.config_ids
         return config_ids.setdefault(
-            (replace(row.config, seed=0), row.fps), len(config_ids)
+            (row.config.family, row.fps), len(config_ids)
         )
 
     def group(

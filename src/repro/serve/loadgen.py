@@ -8,7 +8,7 @@ the tests all replay identical traffic for identical seeds.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
 from repro.core.protocol import ProtocolConfig
@@ -94,9 +94,8 @@ def generate_requests(spec: LoadSpec) -> List[SessionRequest]:
             arrival += rng.expovariate(1.0 / spec.mean_interarrival)
         high = rng.random() < spec.high_priority_fraction
         stream = _load_stream(spec.gop_count, f"load-{spec.seed}-{index}")
-        config = replace(
-            spec.config,
-            seed=spec.seed * 1_000_003 + index * _SESSION_SEED_STRIDE,
+        config = spec.config.reseeded(
+            spec.seed * 1_000_003 + index * _SESSION_SEED_STRIDE
         )
         requests.append(
             SessionRequest(

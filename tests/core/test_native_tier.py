@@ -16,7 +16,8 @@ contract pinned here, beyond the general parity batteries:
   per-row shares, shedding and lost anchors is bit-for-bit equal on
   the reference tier, the array program and the cohort loop.
 * **One receiver pass per step.**  The array receiver scores exactly
-  the step's timeline-collapse rows, in one call per window step.
+  the step's timeline-collapse and replayed lost-anchor rows, in one
+  call per window step.
 """
 
 from __future__ import annotations
@@ -277,6 +278,7 @@ def test_serving_shape_parity(seed, monkeypatch):
     for backend in backends:
         accel.set_backend(backend)
         calls = _steps_by(monkeypatch)
+        _replay_every_cohort(monkeypatch)
         runs[backend] = _serve(requests, capacity)
         monkeypatch.undo()
         implementation = "array" if backend == "numpy" else "cohorts"
@@ -284,14 +286,41 @@ def test_serving_shape_parity(seed, monkeypatch):
         assert sum(calls.values()) == calls[implementation]
     for backend, (got, counters) in runs.items():
         assert got == expected, backend
-        # Some rows lose an anchor (scalar tail), some are scored.
-        assert counters.get("kernel.collapse.scalar", 0) > 0, backend
+        # Some rows lose an anchor (replayed or scalar), some are scored.
+        assert _lost_anchor_rows(counters) > 0, backend
         assert counters.get("kernel.collapse.timeline", 0) > 0, backend
+    if np is not None:
+        assert runs["numpy"][1].get("kernel.collapse.replay", 0) > 0
+    # The array program replays the rows the cohort loop sends to
+    # ``run_row_sender``; the split is otherwise the same.
     collapse = [
-        {name: value for name, value in counters.items() if "collapse" in name}
+        {
+            "full": counters.get("kernel.collapse.full", 0),
+            "timeline": counters.get("kernel.collapse.timeline", 0),
+            "lost_anchor": _lost_anchor_rows(counters),
+        }
         for _, counters in runs.values()
     ]
     assert all(split == collapse[0] for split in collapse)
+
+
+def _replay_every_cohort(monkeypatch) -> None:
+    """Let the array program replay lost-anchor cohorts of any size.
+
+    The test fleets step fewer lost-anchor rows per window than the
+    scan's dispatch floor, which would send them all to the scalar tail.
+    """
+    if np is None:
+        return
+    from repro.core.native import step
+
+    monkeypatch.setattr(step, "_REPLAY_MIN_ROWS", 1)
+
+
+def _lost_anchor_rows(counters) -> int:
+    return counters.get("kernel.collapse.scalar", 0) + counters.get(
+        "kernel.collapse.replay", 0
+    )
 
 
 @pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")
@@ -309,9 +338,9 @@ def test_array_receiver_runs_once_per_step_on_the_timeline_rows(monkeypatch):
     receive = step._receive_timeline
     array_step = native.step_native
 
-    def spy_receive(timeline, *args):
-        passes.append(len(timeline))
-        return receive(timeline, *args)
+    def spy_receive(blocks, *args):
+        passes.append(sum(len(block.entries) for block in blocks))
+        return receive(blocks, *args)
 
     def spy_step(*args):
         before = len(passes)
@@ -320,9 +349,13 @@ def test_array_receiver_runs_once_per_step_on_the_timeline_rows(monkeypatch):
 
     monkeypatch.setattr(step, "_receive_timeline", spy_receive)
     monkeypatch.setattr(native, "step_native", spy_step)
+    _replay_every_cohort(monkeypatch)
     _, counters = _serve(requests, capacity)
     assert len(per_step) == counters["kernel.steps"]
     assert set(per_step) <= {0, 1} and sum(per_step) > 0
-    assert sum(passes) == counters["kernel.collapse.timeline"]
-    # Lost-anchor rows went to the scalar tail without being scored.
-    assert counters["kernel.collapse.scalar"] > 0
+    # The one pass scores the timeline rows and the replayed lost-anchor
+    # rows; rows left to the scalar tail are never scored here.
+    assert sum(passes) == (
+        counters["kernel.collapse.timeline"] + counters["kernel.collapse.replay"]
+    )
+    assert counters["kernel.collapse.replay"] > 0

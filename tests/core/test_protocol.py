@@ -45,6 +45,32 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ProtocolConfig(packet_size_bytes=0)
 
+    def test_reseeded_equals_replace_without_revalidating(self, monkeypatch):
+        from dataclasses import replace
+
+        base = ProtocolConfig(p_good=0.8, seed=3)
+        expected = replace(base, seed=11)
+
+        def refuse(self):
+            raise AssertionError("re-validated")
+
+        monkeypatch.setattr(ProtocolConfig, "__post_init__", refuse)
+        copy = base.reseeded(11)
+        assert copy == expected and hash(copy) == hash(expected)
+        assert copy.seed == 11 and base.seed == 3
+        assert repr(copy) == repr(expected)
+
+    def test_family_ignores_only_the_seed(self):
+        from dataclasses import replace
+
+        base = ProtocolConfig(p_good=0.8, seed=3)
+        assert base.reseeded(99).family == base.family
+        assert replace(base, seed=5).family == base.family
+        assert replace(base, p_bad=0.5).family != base.family
+        # A cached family leaves equality and hash alone.
+        assert base == ProtocolConfig(p_good=0.8, seed=3)
+        assert hash(base) == hash(ProtocolConfig(p_good=0.8, seed=3))
+
     def test_empty_stream_rejected(self):
         import pytest
 

@@ -237,7 +237,14 @@ class TestShedRowsCollapse:
             else:
                 assert counters.get("kernel.collapse.timeline", 0) > 0
 
-    def test_shed_row_losing_an_anchor_stays_scalar(self):
+    def test_shed_row_losing_an_anchor_replays(self, monkeypatch):
+        """Shed + lost anchor: replayed in columns by the array program,
+        ``run_row_sender`` in the cohort loop, equal results either way."""
+        if "numpy" in accel.available_backends():
+            from repro.core.native import step
+
+            # Eight rows are below the scan's dispatch floor.
+            monkeypatch.setattr(step, "_REPLAY_MIN_ROWS", 1)
         config = ProtocolConfig(gop_size=4, p_good=0.5, p_bad=0.9)
         seeds = range(1, 9)
         mask = 0b0110_0110
@@ -246,4 +253,5 @@ class TestShedRowsCollapse:
             accel.set_backend(name)
             results, counters = self._run(config, kernel.FUSED, seeds, mask)
             assert results == expected, name
-            assert counters.get("kernel.collapse.scalar", 0) > 0, name
+            path = "replay" if name == "numpy" else "scalar"
+            assert counters.get(f"kernel.collapse.{path}", 0) > 0, name

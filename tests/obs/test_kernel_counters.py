@@ -4,8 +4,9 @@ Satellite contract of the unified window-step kernel: every step
 reports how many rows it carried (``kernel.steps`` / ``kernel.rows`` /
 the ``kernel.rows_per_window`` histogram), which tier executed it
 (``kernel.dispatch.<tier>``), and — under the fused tier — how the
-cohort split between full collapse, shared-timeline collapse and the
-scalar fallback (``kernel.collapse.*``).
+cohort split between full collapse, shared-timeline collapse, the
+array program's lost-anchor replay and the scalar fallback
+(``kernel.collapse.*``).
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ class TestKernelCounters:
         split = (
             counters.get("kernel.collapse.full", 0)
             + counters.get("kernel.collapse.timeline", 0)
+            + counters.get("kernel.collapse.replay", 0)
             + counters.get("kernel.collapse.scalar", 0)
         )
         assert split == counters["kernel.rows"]
