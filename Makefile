@@ -19,7 +19,7 @@ bench:
 bench-repo:
 	python3 bench/run.py --seed 0
 
-# The serving-path workloads on the default backend (the fused tier's
+# The serving-path workloads on the default backend (the kernel's
 # array program), then without NumPy (its pure-Python cohort loop):
 # seed-0 golden digests plus the event-loop oracles (~1 min).
 bench-serving:

@@ -1,12 +1,12 @@
 """Unified kernel at steady state: parity and the 10x gate at K = 256.
 
 Serves the same K = 256 fleet two ways — the event-loop
-:class:`~repro.serve.service.StreamingService` and the fused kernel
-tier behind :mod:`repro.serve.fastpath` — and checks both bit-for-bit
-parity of every session outcome and the headline claim of the unified
+:class:`~repro.serve.service.StreamingService` and the kernel step
+behind :mod:`repro.serve.fastpath` — and checks both bit-for-bit parity
+of every session outcome and the headline claim of the unified
 columnar kernel: at a steady-state fleet width of 256 rows per window
-step, the fused tier is at least 10x faster than event-loop serving on
-the NumPy backend.
+step, the kernel is at least 10x faster than event-loop serving on the
+NumPy backend.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.core.protocol import ProtocolConfig
 from repro.serve import LoadSpec, generate_requests, serve_sessions
 
 SESSIONS = 256
-#: Mostly-clean channel: the fused tier's cohort collapse carries the
+#: Mostly-clean channel: the kernel's cohort collapse carries the
 #: bulk of the fleet while the Gilbert bad state still exercises the
 #: timeline and scalar fallbacks.
 CONFIG = ProtocolConfig(p_good=0.995, p_bad=0.6)
@@ -88,7 +88,7 @@ def test_bench_kernel_speedup_and_parity(benchmark, show):
     speedup = event_loop_time / fast_time
     windows = SESSIONS * SPEC.max_windows
     show(
-        f"event loop {event_loop_time:.3f}s, fused kernel {fast_time:.3f}s "
+        f"event loop {event_loop_time:.3f}s, kernel {fast_time:.3f}s "
         f"=> {speedup:.2f}x on the {accel.backend_name()} backend "
         f"(K={SESSIONS}, {windows} windows, "
         f"{windows / fast_time:,.0f} windows/sec)"

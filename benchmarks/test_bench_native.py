@@ -1,11 +1,12 @@
-"""Fused tier's array program at steady state: parity and the 1.2x gate.
+"""The kernel's array program at steady state: parity and the 1.2x gate.
 
-Runs the same K = 256 Monte-Carlo fleet through the fused tier's two
+Runs the same K = 256 Monte-Carlo fleet through the kernel step's two
 implementations — the array program (:mod:`repro.core.native`, what the
-default tier runs on the NumPy backend) and the pure-Python cohort loop
-(``kernel._step_cohorts``, called directly as the baseline arm) — checks
-bit-for-bit parity of every window stream, and gates the array program
-at ≥ 1.2x over the cohort loop.
+step runs on the NumPy backend) and the pure-Python cohort loop
+(``kernel._step_cohorts``, forced as the baseline arm by setting
+``kernel._ARRAY_MAX_FRAMES`` to 0) — checks bit-for-bit parity of every
+window stream, and gates the array program at ≥ 1.2x over the cohort
+loop.
 
 The workload is fragment-heavy on purpose: five GOPs per window and
 2 KiB packets put ~190 packets in each window span, which is where the
@@ -40,24 +41,21 @@ CONFIG = ProtocolConfig(
 STREAM = make_video_stream(GOP_12, 256)
 SEEDS = tuple(range(SESSIONS))
 
-#: The fused tier's per-step dispatch (array program on NumPy).
-ARRAY = kernel._step_fused
-#: Its pure-Python cohort loop, the baseline arm.
-COHORTS = kernel._step_cohorts
+#: Widest window the array program steps; 0 forces the cohort loop.
+ARRAY = kernel._ARRAY_MAX_FRAMES
+#: The baseline arm: every step runs the pure-Python cohort loop.
+COHORTS = 0
 
 
-def _run(step=ARRAY):
-    """One sweep on the fused tier, its step bound to ``step``."""
-    previous = kernel.tier_name()
-    kernel.set_tier(kernel.FUSED)
-    kernel._step_fused = step
+def _run(max_frames=ARRAY):
+    """One sweep with the array program's window limit at ``max_frames``."""
+    kernel._ARRAY_MAX_FRAMES = max_frames
     try:
         return run_sessions_batch(
             STREAM, CONFIG, seeds=SEEDS, max_windows=WINDOWS
         )
     finally:
-        kernel._step_fused = ARRAY
-        kernel.set_tier(previous)
+        kernel._ARRAY_MAX_FRAMES = ARRAY
 
 
 def _canon(results):
@@ -74,7 +72,7 @@ def test_bench_native_steady_state(benchmark, show):
     result = benchmark.pedantic(_run, rounds=3, iterations=1)
     assert len(result) == SESSIONS
     show(
-        f"fused tier on the {accel.backend_name()} backend: "
+        f"kernel step on the {accel.backend_name()} backend: "
         f"K={SESSIONS}, {SESSIONS * WINDOWS} windows"
     )
 
@@ -107,7 +105,7 @@ def test_bench_native_speedup_and_parity(benchmark, show):
     speedup = loop_time / array_time
     windows = SESSIONS * WINDOWS
     show(
-        f"cohort loop {loop_time:.3f}s, fused tier {array_time:.3f}s "
+        f"cohort loop {loop_time:.3f}s, array program {array_time:.3f}s "
         f"=> {speedup:.2f}x on the {accel.backend_name()} backend "
         f"(K={SESSIONS}, {windows} windows, "
         f"{windows / array_time:,.0f} windows/sec)"

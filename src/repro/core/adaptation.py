@@ -91,13 +91,14 @@ class AdaptiveController:
             raise ConfigurationError("alpha must be within [0, 1]")
         self.alpha = alpha
         self._estimators: Dict[int, LossEstimator] = {}
-        #: Set by the fused tier's array program while it owns this
+        #: Set by the kernel's array program while it owns this
         #: controller's state in columnar form: a zero-argument callback
         #: that writes the columns back into ``_estimators`` (and clears
         #: itself).
         #: Every public read/write path syncs first, so external
         #: observers — the scenario harness's b-hat series, the serve
-        #: shed policy — always see current estimates whichever tier ran.
+        #: shed policy — always see current estimates whichever
+        #: implementation of the kernel step ran.
         self._sync = None
 
     def estimator_for(self, layer: int, window: int) -> LossEstimator:

@@ -21,9 +21,9 @@ kernel shared with the serving fast path:
   so replications whose feedback agrees reuse the same permutation;
 * per-window CLF and per-layer bursts of all ``R`` rows come from the
   stacked :func:`repro.accel.batch_worst_clf` kernel;
-* under the kernel's fused tier, rows whose window sees no loss (or no
-  lost anchor) collapse onto a shared first-attempt timeline instead of
-  replaying the scalar sender loop;
+* rows whose window sees no loss (or no lost anchor) collapse onto a
+  shared first-attempt timeline instead of running the scalar sender
+  loop;
 * the step loop runs with the cyclic garbage collector paused
   (:func:`repro.core.kernel.gc_paused`): rows form no reference
   cycles, so its scans would reclaim nothing.
@@ -35,7 +35,7 @@ sequential engine, so :func:`run_sessions_batch` is pinned bit-for-bit
 against ``R`` sequential :class:`~repro.core.protocol.ProtocolSession`
 runs on identical seeds — same
 :class:`~repro.core.protocol.SessionResult` dataclasses, same floats,
-on either accel backend and either kernel tier.
+on either accel backend and either implementation of the kernel step.
 """
 
 from __future__ import annotations

@@ -14,59 +14,42 @@ one entry point — :func:`step_window` — that advances a uniform group
 of rows through one buffer window.  ``run_session``, ``core.batch``
 and ``serve.fastpath`` all route window advancement through it.
 
-Tiers
------
-Two execution tiers produce bit-for-bit identical results (the
-differential suites in ``tests/core`` and ``tests/serve`` pin this on
-both accel backends, with and without NumPy):
+The step
+--------
+Loss flags are Gilbert-sampled in one stacked prefetch, the window's
+first-attempt serialization timeline — which is loss-independent — is
+computed once per (permutation plan, window, shed set) and shared by
+every row timed by the same :class:`WindowInfo`, and rows are then
+dispatched by what their own randomness requires:
 
-``reference``
-    The row engine's original shape: a scalar per-row sender loop,
-    then a receiver pass whose continuity and per-layer burst
-    measurements stack into :func:`repro.accel.batch_worst_clf` calls.
-    It is the differential oracle of the fast tier.
+* *full collapse* — rows whose span of loss flags is clean take the
+  shared timeline **and** the shared receiver verdict (arrivals,
+  decodability, CLF, per-layer bursts are all loss-free facts of the
+  schedule);
+* *timeline collapse* — rows with losses but no lost anchor (or
+  retransmissions disabled) reuse the shared timeline and only score
+  their own deliveries;
+* *scalar tail* — rows that carry link backlog into the window or must
+  retransmit a lost anchor run the per-row sender loop
+  (:func:`run_row_sender`; retransmission timing is data-dependent).
 
-``fused``
-    The fast tier (and the default).  Loss flags are Gilbert-sampled in
-    one stacked prefetch, the window's first-attempt serialization
-    timeline — which is loss-independent — is computed once per
-    (permutation plan, window, shed set) and shared by every row timed
-    by the same :class:`WindowInfo`, and rows are then dispatched by
-    what their own randomness requires:
-
-    * *full collapse* — rows whose span of loss flags is clean take
-      the shared timeline **and** the shared receiver verdict
-      (arrivals, decodability, CLF, per-layer bursts are all
-      loss-free facts of the schedule);
-    * *timeline collapse* — rows with losses but no lost anchor (or
-      retransmissions disabled) reuse the shared timeline and only
-      score their own deliveries;
-    * *scalar* — rows that carry link backlog into the window or must
-      retransmit a lost anchor replay the reference sender loop
-      (retransmission timing is data-dependent).
-
-    Each step picks one of two implementations of that split from two
-    facts, with no warning: on the NumPy accel backend and for windows
-    of at most 63 frames (the received-bitmask word) it runs the array
-    program of :mod:`repro.core.native` — columnar Equation-1 folds,
-    and one matrix pass scoring every timeline-collapse row of the
-    step; otherwise it runs the pure-Python cohort loop
-    (:func:`_step_cohorts`).
-
-    The tier dispatch counters (``kernel.dispatch.*``,
-    ``kernel.collapse.*``) expose the split.
-
-Select a tier with :func:`set_tier`, or the ``REPRO_KERNEL``
-environment variable (``reference`` / ``fused`` / ``auto``; ``auto``
-resolves to ``fused``).  Tier choice is orthogonal to the accel
-backend: both tiers run — and are parity-tested — on the pure backend
-too.
+Each step picks one of two implementations of that split from two
+facts, with no warning: on the NumPy accel backend and for windows of
+at most 63 frames (the received-bitmask word) it runs the array
+program of :mod:`repro.core.native` — columnar Equation-1 folds, a
+columnar replay of lost-anchor rows, and one matrix pass scoring the
+step's rows — otherwise it runs the pure-Python cohort loop
+(:func:`_step_cohorts`).  Both are bit-for-bit equal to the object
+engine :class:`~repro.core.protocol.ProtocolSession`, which the
+differential suites in ``tests/core`` and ``tests/serve`` pin on both
+accel backends, with and without NumPy.  The ``kernel.collapse.*``
+counters expose the split.
 
 Fleet state
 -----------
 :class:`FleetState` snapshots the numeric per-row columns
-(:data:`ROW_COLUMNS`) as an immutable struct-of-arrays block: the tier
-ABI that rows stepped under different tiers must agree on.
+(:data:`ROW_COLUMNS`) as an immutable struct-of-arrays block: the
+column contract rows stepped by either implementation agree on.
 :class:`FleetView` is its writable twin over a float64 buffer, the
 zero-copy view the hierarchical fan-out's shared-memory result arena
 (:class:`repro.serve.hierarchy.ResultArena`) is written through;
@@ -110,10 +93,6 @@ from repro.network.packet import fragments_needed
 from repro.poset.builders import independent_poset, ldu_poset
 
 __all__ = [
-    "AUTO",
-    "FUSED",
-    "REFERENCE",
-    "ENV_TIER",
     "CONTROL_PACKET_BYTES",
     "FEEDBACK_SEED_OFFSET",
     "PREFETCH_SLACK",
@@ -127,7 +106,6 @@ __all__ = [
     "WindowLayout",
     "WindowShape",
     "audit_segments",
-    "available_tiers",
     "drain_acks",
     "gc_paused",
     "loss_run_count",
@@ -139,10 +117,8 @@ __all__ = [
     "row_bounds",
     "run_row_sender",
     "send_ack",
-    "set_tier",
     "step_fleet",
     "step_window",
-    "tier_name",
     "window_layout",
 ]
 
@@ -168,55 +144,15 @@ PREFETCH_SLACK = 32
 PREFETCH_WINDOWS = 8
 
 
-# ----------------------------------------------------------------------
-# Tier selection
-# ----------------------------------------------------------------------
-
-REFERENCE = "reference"
-FUSED = "fused"
-AUTO = "auto"
-
-#: Environment variable selecting the kernel tier at import time.
-ENV_TIER = "REPRO_KERNEL"
-
-_TIERS = (REFERENCE, FUSED)
-
-
-def available_tiers() -> Tuple[str, ...]:
-    """The execution tiers this kernel ships (all bit-for-bit equal)."""
-    return _TIERS
-
-
-def _resolve(name: str) -> str:
-    normalized = name.strip().lower()
-    if normalized == AUTO or not normalized:
-        return FUSED
-    if normalized not in _TIERS:
-        raise ConfigurationError(
-            f"unknown kernel tier {name!r}; available: {list(_TIERS) + [AUTO]}"
-        )
-    return normalized
-
-
-_active_tier = _resolve(os.environ.get(ENV_TIER, AUTO))
-
-
-def set_tier(name: str) -> str:
-    """Select the active kernel tier.
-
-    ``reference``/``fused``/``auto`` (``auto`` resolves to ``fused``).
-    Returns the resolved tier name.  Both tiers produce identical
-    results; ``fused`` is the fast tier, ``reference`` exists for
-    differential gating and debugging.
-    """
-    global _active_tier
-    _active_tier = _resolve(name)
-    return _active_tier
-
-
 def tier_name() -> str:
-    """The tier :func:`step_window` currently dispatches to."""
-    return _active_tier
+    """Always ``"fused"``: the kernel has one step and no tier option.
+
+    Kept only because the repository benchmark records this value in
+    every run's metadata (``bench/worker.py``) and refuses to compare
+    runs whose values differ (``bench/compare.py``).  Drop it with the
+    next change to ``bench/``.
+    """
+    return "fused"
 
 
 @contextmanager
@@ -583,9 +519,9 @@ def prefetch_windows(row: SessionRow) -> int:
 
     ``min(PREFETCH_WINDOWS, windows_left)``, where ``windows_left``
     counts the window being stepped and every one after it; rows
-    without a :attr:`SessionRow.horizon` take the full depth.  Every
-    tier's prefetch uses this rule, so draw counts (``fwd_drawn``) stay
-    tier-invariant.
+    without a :attr:`SessionRow.horizon` take the full depth.  Both
+    implementations of the step prefetch by this rule, so draw counts
+    (``fwd_drawn``) do not depend on which one ran.
     """
     horizon = row.horizon
     if horizon is None:
@@ -753,34 +689,22 @@ def run_row_sender(
     window_index: int,
     window_start: float,
     window_end: float,
-    shed_for=None,
     *,
-    plan: Optional[LayeredPlan] = None,
-    layer_sequences: Optional[Tuple[Tuple[int, ...], ...]] = None,
-    shed: Optional[frozenset] = None,
+    plan: LayeredPlan,
+    layer_sequences: Tuple[Tuple[int, ...], ...],
+    shed: frozenset,
 ) -> RowWindow:
-    """One row's sender loop; mirrors ``ProtocolSession.run_window``.
+    """One row's sender loop: the step's scalar tail.
 
-    ``shed_for`` is the row-engine twin of
-    :meth:`ProtocolSession._shed_frames`: an optional
-    ``(row, plan) -> frozenset`` callback naming frame offsets to drop
-    at the sender before they consume air time or channel state.  The
-    serve fast path (:mod:`repro.serve.fastpath`) binds it to the
-    service's shedding policy; plain replication sweeps leave it unset,
-    which keeps this loop byte-identical to its pre-hook behaviour.
-
-    The fused tier passes ``plan``/``layer_sequences``/``shed`` it
-    already computed (and has already drained this row's ACKs); the
-    prologue is then skipped so per-row side effects — the shed
-    policy's bookkeeping in particular — happen exactly once.
+    Mirrors the sender half of ``ProtocolSession.run_window`` for rows
+    that carry link backlog into the window, run short of prefetched
+    flags or must retransmit a lost anchor.  The caller has already
+    drained the row's ACKs and chosen its ``plan`` (with the plan's
+    per-layer ``layer_sequences``) and its ``shed`` set — the frame
+    offsets dropped at the sender before they consume air time or
+    channel state — so per-row side effects, the shed policy's
+    bookkeeping in particular, happen exactly once.
     """
-    if plan is None:
-        drain_acks(row, window_start)
-        bounds = row_bounds(row, config, info.shape)
-        plan, layer_sequences = info.shape.plan_for(bounds, config.scramble)
-        shed = shed_for(row, plan) if shed_for is not None else frozenset()
-    assert layer_sequences is not None and shed is not None
-
     result = WindowResult(
         index=window_index,
         frames=info.n,
@@ -928,7 +852,7 @@ def send_ack(
     """Mirror of ``ProtocolSession._send_ack`` without packet objects.
 
     ``loss_rates``/``loss_statistics``/``burst_estimates`` let the
-    fused tier pass the values it already derived for a whole collapsed
+    step pass the values it already derived for a whole collapsed
     cohort (they are pure functions of ``result`` fields shared across
     the cohort, and :class:`Feedback` consumers never mutate them, so
     one dict may back many ACKs).  A fully pre-built ``feedback``
@@ -1101,7 +1025,7 @@ def _observe_window(results: Sequence[WindowResult], rows: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Fused tier: shared first-attempt timelines and cohort collapse
+# Shared first-attempt timelines and cohort collapse
 # ----------------------------------------------------------------------
 
 
@@ -1352,35 +1276,6 @@ def _collapse_clean(
     return result
 
 
-def _step_fused(
-    rows: Sequence[SessionRow],
-    info: WindowInfo,
-    config: ProtocolConfig,
-    fps: float,
-    window_index: int,
-    control_serialization: Union[float, Callable[[SessionRow], float]],
-    shed_for,
-) -> None:
-    """The fused tier: the array program where it runs, else the cohort loop.
-
-    The choice is made per step from two facts — the accel backend is
-    NumPy, and the window has at most :data:`_ARRAY_MAX_FRAMES` frames —
-    and both implementations are bit-for-bit equal, so a fleet may
-    take either from one window to the next.
-    """
-    if info.n <= _ARRAY_MAX_FRAMES and accel.backend_name() == "numpy":
-        # Imported lazily: the array program imports this module.
-        from repro.core.native import step_native
-
-        step_native(
-            rows, info, config, fps, window_index, control_serialization, shed_for
-        )
-    else:
-        _step_cohorts(
-            rows, info, config, fps, window_index, control_serialization, shed_for
-        )
-
-
 def _step_cohorts(
     rows: Sequence[SessionRow],
     info: WindowInfo,
@@ -1390,7 +1285,7 @@ def _step_cohorts(
     control_serialization: Union[float, Callable[[SessionRow], float]],
     shed_for,
 ) -> None:
-    """The fused tier's pure-Python cohort loop (any backend, any width)."""
+    """The pure-Python cohort loop: the step on any backend, any width."""
     n = info.n
     cycle = info.cycle
     window_start = window_index * cycle
@@ -1540,9 +1435,9 @@ def _step_cohorts(
                 )
             )
         else:
-            # Scalar fallback: link backlog, short flag buffers or a
-            # lost anchor (retransmission timing is data-dependent) —
-            # replay the reference sender loop.
+            # Scalar tail: link backlog, short flag buffers or a lost
+            # anchor (retransmission timing is data-dependent) — run
+            # the per-row sender loop.
             scalar_rows += 1
             pending.append(
                 (
@@ -1585,58 +1480,6 @@ def _step_cohorts(
         _observe_window(all_results, len(rows))
 
 
-def _step_reference(
-    rows: Sequence[SessionRow],
-    info: WindowInfo,
-    config: ProtocolConfig,
-    fps: float,
-    window_index: int,
-    control_serialization: Union[float, Callable[[SessionRow], float]],
-    shed_for,
-) -> None:
-    n = info.n
-    cycle = info.cycle
-    window_start = window_index * cycle
-    window_end = window_start + cycle
-    playback_start = window_end + config.rtt / 2.0
-    slot_times = [playback_start + offset / fps for offset in range(n)]
-
-    prefetch_flags(
-        plan_refills(rows, info.first_attempt_packets + PREFETCH_SLACK),
-        config.p_good,
-        config.p_bad,
-        phases=config.channel_phases,
-    )
-
-    pairs = [
-        (
-            row,
-            run_row_sender(
-                row,
-                row.info or info,
-                config,
-                window_index,
-                window_start,
-                window_end,
-                shed_for,
-            ),
-        )
-        for row in rows
-    ]
-    _receive_and_ack(
-        pairs,
-        info,
-        config,
-        window_index,
-        window_end,
-        playback_start,
-        slot_times,
-        control_serialization,
-    )
-    if obs.enabled():
-        _observe_window([data.result for _, data in pairs], len(rows))
-
-
 def step_window(
     rows: Sequence[SessionRow],
     info: WindowInfo,
@@ -1646,7 +1489,6 @@ def step_window(
     *,
     control_serialization: Union[float, Callable[[SessionRow], float]],
     shed_for=None,
-    tier: Optional[str] = None,
 ) -> None:
     """Advance a uniform group of rows through one buffer window.
 
@@ -1660,25 +1502,34 @@ def step_window(
     it.  ``control_serialization`` is the ACK's serialization time — a
     float for fixed-rate fleets, or a ``row -> float`` callable when
     shares differ per row (the serving fast path).  ``shed_for`` is
-    the load-shedding hook (see :func:`run_row_sender`).
+    the row-engine twin of :meth:`ProtocolSession._shed_frames`: an
+    optional ``(row, plan) -> frozenset`` callback naming frame offsets
+    to drop at the sender (the serve fast path binds it to the
+    service's shedding policy).
 
-    Results accumulate on each row's :class:`SessionResult` exactly as
-    the sequential engine would have produced them, whichever tier runs.
+    The step runs the array program (:mod:`repro.core.native`) when the
+    accel backend is NumPy and the window has at most
+    :data:`_ARRAY_MAX_FRAMES` frames, else the cohort loop
+    (:func:`_step_cohorts`).  Both are bit-for-bit equal, so a fleet may
+    take either from one window to the next, and results accumulate on
+    each row's :class:`SessionResult` exactly as the sequential engine
+    would have produced them.
     """
     if not rows:
         return
-    active = _resolve(tier) if tier is not None else _active_tier
     if obs.enabled():
         obs.counter("kernel.steps").inc()
         obs.counter("kernel.rows").inc(len(rows))
-        obs.counter(f"kernel.dispatch.{active}").inc()
         obs.histogram("kernel.rows_per_window").observe(len(rows))
-    if active == FUSED:
-        _step_fused(
+    if info.n <= _ARRAY_MAX_FRAMES and accel.backend_name() == "numpy":
+        # Imported lazily: the array program imports this module.
+        from repro.core.native import step_native
+
+        step_native(
             rows, info, config, fps, window_index, control_serialization, shed_for
         )
     else:
-        _step_reference(
+        _step_cohorts(
             rows, info, config, fps, window_index, control_serialization, shed_for
         )
 
@@ -1710,7 +1561,7 @@ class FleetBatch:
     shed_for: Optional[Callable[[SessionRow, LayeredPlan], frozenset]] = None
 
 
-def step_fleet(batches: Sequence[FleetBatch], *, tier: Optional[str] = None) -> int:
+def step_fleet(batches: Sequence[FleetBatch]) -> int:
     """Advance a slab of uniform row groups through one window epoch.
 
     The fleet-slab entry point behind the serving fast path and the
@@ -1765,7 +1616,6 @@ def step_fleet(batches: Sequence[FleetBatch], *, tier: Optional[str] = None) -> 
             batch.window_index,
             control_serialization=batch.control_serialization,
             shed_for=batch.shed_for,
-            tier=tier,
         )
     return refill_rows
 
@@ -1943,8 +1793,8 @@ class FleetState:
 
     Columns are named float64 vectors of equal length.
     :meth:`from_rows` snapshots a fleet's engine columns
-    (:data:`ROW_COLUMNS`); the tier parity tests compare these
-    snapshots across tiers and fused-tier implementations.
+    (:data:`ROW_COLUMNS`); the parity tests compare these snapshots
+    across the step's two implementations.
     """
 
     __slots__ = ("_names", "_columns", "rows")

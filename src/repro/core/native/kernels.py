@@ -1,4 +1,4 @@
-"""NumPy kernels of the fused tier's array program.
+"""NumPy kernels of the kernel step's array program.
 
 Each kernel executes, elementwise over float64/int64 arrays, exactly
 the IEEE-754 double operations of the scalar Python expression it

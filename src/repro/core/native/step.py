@@ -1,11 +1,11 @@
-"""The fused tier's array program: the cohort loop as whole-step matrix ops.
+"""The kernel step's array program: the cohort loop as whole-step matrix ops.
 
 :func:`step_native` advances a uniform row group through one buffer
 window with the same observable effects as ``kernel._step_cohorts`` —
 bit-for-bit identical :class:`~repro.core.protocol.WindowResult`
 streams, channel draws, ACK timings and estimator trajectories — but
 with the per-row Python work hoisted into whole-step NumPy kernels
-(:mod:`repro.core.native.kernels`).  ``kernel._step_fused`` runs it on
+(:mod:`repro.core.native.kernels`).  ``kernel.step_window`` runs it on
 the NumPy accel backend for windows of at most 63 frames.
 
 Stages
@@ -57,10 +57,9 @@ tuple (identity-compared), ``vals`` a flat float64 list of
 ``(present, window, estimate, observations)`` per layer.  The
 controller objects remain reachable — ``AdaptiveController._sync`` is
 pointed at a write-back callback (holding the row weakly, so no
-reference cycle forms), so any external read (the scenario
-harness's b-hat series, the serve shed policy, a step taken by the
-cohort loop or the reference tier) dissolves the columns back into
-objects first.  The Gilbert-fit estimator and the feedback collector
+reference cycle forms), so any external read (the scenario harness's
+b-hat series, the serve shed policy, a step taken by the cohort loop)
+dissolves the columns back into objects first.  The Gilbert-fit estimator and the feedback collector
 stay object-resident: both are read directly by serve-side policies
 mid-window.
 """
@@ -742,7 +741,7 @@ def _timeline_attempts(timeline, rtt_half: float) -> _Attempts:
 #: Fewest lost-anchor rows one step replays in columns.  The scan pays
 #: a fixed array cost per event (about 50 per 24-frame window), so
 #: below this many rows ``run_row_sender`` is faster and the rows take
-#: the scalar tail instead (measured in DESIGN.md, "Tiers").
+#: the scalar tail instead (measured in DESIGN.md, "Implementations").
 _REPLAY_MIN_ROWS = 80
 
 #: Sorts after every real insertion tick.
@@ -1348,7 +1347,7 @@ def _scalar_tail(
 def step_native(
     rows, info, config, fps, window_index, control_serialization, shed_for
 ) -> None:
-    """Advance ``rows`` one window; ``kernel.step_window``'s fused tier."""
+    """Advance ``rows`` one window; ``kernel.step_window`` on NumPy."""
     n = info.n
     cycle = info.cycle
     window_start = window_index * cycle

@@ -26,8 +26,8 @@ The fast path exploits exactly that factorisation:
    :func:`repro.accel.gilbert_states_batch` prefetch across the fleet
    per window, stacked :func:`repro.accel.batch_worst_clf` calls for
    per-window and per-layer CLF, permutation plans shared per window
-   shape, and — under the kernel's fused tier — whole rows collapsed
-   onto shared first-attempt timelines when their losses allow.  Load
+   shape, and whole rows collapsed onto shared first-attempt timelines
+   when their losses allow.  Load
    shedding runs through the same
    :class:`~repro.serve.shedding.LayeredShedPolicy` via the
    kernel's ``shed_for`` hook, bound per row.  Rows batch on (config

@@ -571,7 +571,6 @@ def _run_slab(
     admission: bool,
     rejected: List[Tuple[int, str]],
     shape_caches: Dict[tuple, dict],
-    tier: Optional[str] = None,
 ) -> None:
     """Plan, execute and reduce one slab of shards.
 
@@ -616,7 +615,7 @@ def _run_slab(
     fleets = [execution for _, execution in live]
     epochs = max((execution.total_windows for execution in fleets), default=0)
     for ordinal in range(epochs):
-        kernel.step_fleet(_fleet_batches(fleets, ordinal), tier=tier)
+        kernel.step_fleet(_fleet_batches(fleets, ordinal))
     serve_wall = time.perf_counter() - started
     # The epoch loop is shared across the slab; apportion its wall by
     # each shard's admitted-row share (slab granularity — documented in
@@ -648,7 +647,7 @@ def _run_worker(task):
     reducing build no reference cycles, so collector scans would
     reclaim nothing.
     """
-    chunk, arena, capacity_bps, scheduler_name, shedding, admission, tier = task
+    chunk, arena, capacity_bps, scheduler_name, shedding, admission = task
     try:
         view = arena.map()
         try:
@@ -666,7 +665,6 @@ def _run_worker(task):
                         admission,
                         rejected,
                         shape_caches,
-                        tier,
                     )
             return ("ok", rejected)
         finally:
@@ -1014,13 +1012,9 @@ def _fan_out(
     arena = ResultArena.create(plan)
     try:
         chunks = _assign(plan.shard_tasks, plan.workers)
-        # The coordinator's resolved kernel tier rides along with each
-        # worker chunk: a spawned worker re-imports the kernel and would
-        # otherwise fall back to its own environment's tier, silently
-        # ignoring a coordinator-side ``set_tier``.
         tasks = [
             (chunk, arena, plan.capacity_bps, plan.scheduler,
-             plan.shedding, plan.admission, kernel.tier_name())
+             plan.shedding, plan.admission)
             for chunk in chunks
         ]
         outputs = parallel_map(

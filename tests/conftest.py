@@ -29,6 +29,29 @@ def _isolated_perm_cache(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def kernel_implementations():
+    """Iterate a block once per implementation of the kernel step.
+
+    ``for name in kernel_implementations(): ...`` runs the body under
+    the array program (only when the accel backend is NumPy at the time
+    of iteration) and then under the pure-Python cohort loop, which it
+    forces by setting ``kernel._ARRAY_MAX_FRAMES`` to 0 for that turn
+    only.  Session-scoped, so Hypothesis tests may take it.
+    """
+    from repro import accel
+    from repro.core import kernel
+
+    def implementations():
+        if accel.backend_name() == "numpy":
+            yield "array program"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_ARRAY_MAX_FRAMES", 0)
+            yield "cohort loop"
+
+    return implementations
+
+
+@pytest.fixture(scope="session")
 def small_mpeg_stream():
     """Six GOPs of GOP-12 video with constant per-type sizes."""
     return make_video_stream(GOP_12, gop_count=6)

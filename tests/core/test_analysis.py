@@ -110,6 +110,80 @@ class TestMonteCarloAgreement:
             )
 
 
+def _enumerated_clf_pmf(order, p_good, p_bad):
+    """Exact per-window CLF pmf of a window sent in slot order ``order``.
+
+    An oracle that shares no code with the library: every first-attempt
+    loss pattern of the window's ``len(order)`` slots is enumerated with
+    its exact probability under the Gilbert chain (it starts GOOD, and a
+    packet's outcome is the state after its transition, BAD = lost).
+    Each pattern is un-permuted (slot ``t`` carries frame ``order[t]``)
+    and scored by its longest run of consecutive lost frames.
+    """
+    n = len(order)
+    # (lost slots, chain is BAD after the last slot, probability)
+    patterns = [((), False, 1.0)]
+    for slot in range(n):
+        grown = []
+        for lost, bad, probability in patterns:
+            to_bad = p_bad if bad else 1.0 - p_good
+            grown.append((lost + (slot,), True, probability * to_bad))
+            grown.append((lost, False, probability * (1.0 - to_bad)))
+        patterns = grown
+    pmf = [0.0] * (n + 1)
+    for lost, _, probability in patterns:
+        longest = run = 0
+        previous = None
+        for frame in sorted(order[slot] for slot in lost):
+            run = run + 1 if previous == frame - 1 else 1
+            longest = max(longest, run)
+            previous = frame
+        pmf[longest] += probability
+    return pmf
+
+
+class TestEnumeratedPermutedClf:
+    """The 2^N enumeration, pinned to the DP and to Monte Carlo."""
+
+    def test_two_frames_by_hand(self):
+        p_good, p_bad = 0.8, 0.6
+        # Sending the pair reversed changes no run length.
+        assert _enumerated_clf_pmf((1, 0), p_good, p_bad) == pytest.approx(
+            [0.64, 0.8 * 0.2 + 0.2 * 0.4, 0.2 * 0.6]
+        )
+
+    def test_identity_order_is_the_exact_inorder_dp(self):
+        n, p_good, p_bad = 12, 0.9, 0.6
+        exact = exact_inorder_clf_distribution(n, p_good, p_bad)
+        enumerated = _enumerated_clf_pmf(tuple(range(n)), p_good, p_bad)
+        assert max(abs(a - b) for a, b in zip(enumerated, exact.pmf)) < 1e-12
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_identity_order_any_channel(self, n, p_good, p_bad):
+        exact = exact_inorder_clf_distribution(n, p_good, p_bad)
+        enumerated = _enumerated_clf_pmf(tuple(range(n)), p_good, p_bad)
+        assert enumerated == pytest.approx(list(exact.pmf), abs=1e-12)
+
+    def test_k_cpo_order_matches_monte_carlo(self):
+        perm = calculate_permutation(12, 3)
+        p_good, p_bad = 0.9, 0.6
+        enumerated = _enumerated_clf_pmf(perm.order, p_good, p_bad)
+        sampled = monte_carlo_clf_distribution(
+            perm, p_good, p_bad, windows=40_000, seed=1, continue_chain=False
+        )
+        assert sum(enumerated) == pytest.approx(1.0)
+        assert max(abs(a - b) for a, b in zip(enumerated, sampled.pmf)) < 0.01
+        # The permutation spreads bursts: its exact pmf is not the
+        # in-order one, so the Monte-Carlo match is not a vacuous one.
+        inorder = exact_inorder_clf_distribution(12, p_good, p_bad)
+        assert max(abs(a - b) for a, b in zip(enumerated, inorder.pmf)) > 0.05
+
+
 class TestForecast:
     def test_spreading_predicted_to_help(self):
         perm = calculate_permutation(24, 12)

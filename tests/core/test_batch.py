@@ -4,8 +4,9 @@ The engine's contract is bit-for-bit equality: running R replications
 in lockstep must produce exactly the :class:`SessionResult` objects
 that R sequential :func:`repro.core.protocol.run_session` calls would.
 The property below drives that equality over randomized protocol
-configurations on every available acceleration backend — this module
-must keep passing with NumPy absent, so it never imports it.
+configurations on every available acceleration backend and both
+implementations of the kernel step — this module must keep passing with
+NumPy absent, so it never imports it.
 """
 
 from __future__ import annotations
@@ -70,26 +71,21 @@ def _sequential(stream, config, seeds, max_windows):
     ]
 
 
-def _assert_batch_matches(stream, config, seeds, max_windows):
-    from repro.core import kernel
-
+def _assert_batch_matches(implementations, stream, config, seeds, max_windows):
     previous = accel.backend_name()
-    previous_tier = kernel.tier_name()
     try:
         for name in accel.available_backends():
             accel.set_backend(name)
             expected = _sequential(stream, config, seeds, max_windows)
-            for tier in kernel.available_tiers():
-                kernel.set_tier(tier)
+            for impl in implementations():
                 batched = run_sessions_batch(
                     stream, config, seeds=seeds, max_windows=max_windows
                 )
                 assert batched == expected, (
-                    f"backend {name!r} tier {tier!r} diverged"
+                    f"backend {name!r} {impl} diverged"
                 )
     finally:
         accel.set_backend(previous)
-        kernel.set_tier(previous_tier)
 
 
 class TestBatchSequentialParity:
@@ -103,20 +99,32 @@ class TestBatchSequentialParity:
         ),
     )
     @settings(max_examples=25, deadline=None)
-    def test_batch_equals_sequential(self, small_stream, config, seeds):
-        _assert_batch_matches(small_stream, config, seeds, max_windows=3)
+    def test_batch_equals_sequential(
+        self, small_stream, kernel_implementations, config, seeds
+    ):
+        _assert_batch_matches(
+            kernel_implementations, small_stream, config, seeds, max_windows=3
+        )
 
-    def test_figure8_shape_parity(self, figure_stream):
+    def test_figure8_shape_parity(self, figure_stream, kernel_implementations):
         """Pinned check at the paper's window geometry (N = 24)."""
         config = ProtocolConfig(seed=2000)
         _assert_batch_matches(
-            figure_stream, config, seeds=[2000, 2001, 2002], max_windows=4
+            kernel_implementations,
+            figure_stream,
+            config,
+            seeds=[2000, 2001, 2002],
+            max_windows=4,
         )
 
-    def test_unscrambled_arm_parity(self, figure_stream):
+    def test_unscrambled_arm_parity(self, figure_stream, kernel_implementations):
         config = ProtocolConfig(layered=False, scramble=False, seed=2000)
         _assert_batch_matches(
-            figure_stream, config, seeds=[2000, 2001], max_windows=4
+            kernel_implementations,
+            figure_stream,
+            config,
+            seeds=[2000, 2001],
+            max_windows=4,
         )
 
     def test_single_seed_matches_run_session(self, small_stream):

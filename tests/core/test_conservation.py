@@ -1,8 +1,8 @@
-"""Conservation invariants of every window, on every tier and backend.
+"""Conservation invariants of every window, on every implementation and backend.
 
 An oracle that shares no code with the engines: whatever path stepped a
-window (reference sender, cohort loop, array program with its timeline
-scoring, lost-anchor replay or scalar tail), its
+window (cohort loop, array program with its timeline scoring,
+lost-anchor replay or scalar tail), its
 :class:`~repro.core.protocol.WindowResult` must balance —
 
 * every frame is sent or dropped at the sender;
@@ -24,7 +24,6 @@ from dataclasses import replace
 import pytest
 
 from repro import accel
-from repro.core import kernel
 from repro.core.batch import run_sessions_batch
 from repro.core.protocol import ProtocolConfig
 from repro.media.gop import GOP_12
@@ -57,11 +56,9 @@ def violations(window) -> list:
 
 
 @pytest.fixture(autouse=True)
-def _restore_tier_and_backend():
-    tier = kernel.tier_name()
+def _restore_backend():
     backend = accel.backend_name()
     yield
-    kernel.set_tier(tier)
     accel.set_backend(backend)
 
 
@@ -74,12 +71,11 @@ def replay_floor(request, monkeypatch):
         monkeypatch.setattr(step, "_REPLAY_MIN_ROWS", 1)
 
 
-def _every_engine():
+def _every_engine(implementations):
     for backend in accel.available_backends():
-        for tier in kernel.available_tiers():
-            accel.set_backend(backend)
-            kernel.set_tier(tier)
-            yield backend, tier
+        accel.set_backend(backend)
+        for impl in implementations():
+            yield backend, impl
 
 
 def _checked(windows) -> dict:
@@ -108,22 +104,22 @@ BATCH_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
-def test_batch_windows_balance(name, replay_floor):
+def test_batch_windows_balance(name, replay_floor, kernel_implementations):
     config = BATCH_CONFIGS[name]
-    for backend, tier in _every_engine():
+    for backend, impl in _every_engine(kernel_implementations):
         results = run_sessions_batch(
             STREAM, config, seeds=list(range(24)), max_windows=6
         )
         totals = _checked(
             window for result in results for window in result.windows
         )
-        assert totals["windows"] == 24 * 6, (backend, tier)
+        assert totals["windows"] == 24 * 6, (backend, impl)
         assert totals["retransmissions"] > 0 and totals["recovered"] > 0
         if name == "budget-exhausting":
-            assert totals["budget_drops"] > 0, (backend, tier)
+            assert totals["budget_drops"] > 0, (backend, impl)
 
 
-def test_served_windows_balance_under_shedding(replay_floor):
+def test_served_windows_balance_under_shedding(replay_floor, kernel_implementations):
     spec = LoadSpec(
         sessions=32,
         seed=4,
@@ -136,7 +132,7 @@ def test_served_windows_balance_under_shedding(replay_floor):
     probe = generate_requests(replace(spec, sessions=1))[0]
     demand, _ = estimate_demand(probe.stream, probe.config, max_windows=4)
     capacity = spec.sessions * demand / 1.3
-    for backend, tier in _every_engine():
+    for backend, impl in _every_engine(kernel_implementations):
         served = service.serve_sessions(
             requests,
             capacity,
@@ -149,5 +145,5 @@ def test_served_windows_balance_under_shedding(replay_floor):
             if outcome.admitted and outcome.result is not None
             for window in outcome.result.windows
         )
-        assert totals["shed"] > 0, (backend, tier)
-        assert totals["retransmissions"] > 0, (backend, tier)
+        assert totals["shed"] > 0, (backend, impl)
+        assert totals["retransmissions"] > 0, (backend, impl)

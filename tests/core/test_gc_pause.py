@@ -9,7 +9,7 @@ halves of that contract:
 * the collector's state after each entry point equals its state before
   it — also when a caller disabled it, and when a step raises;
 * a warm run of each entry point leaves nothing for ``gc.collect()``,
-  on every kernel tier.
+  on both implementations of the kernel step.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from repro.serve.hierarchy import plan_hierarchy, run_hierarchy
 
 
 @pytest.fixture(autouse=True)
-def _restore_gc_and_tier():
+def _restore_gc():
     enabled = gc.isenabled()
-    tier = kernel.tier_name()
     yield
-    kernel.set_tier(tier)
     if enabled:
         gc.enable()
     else:
@@ -106,19 +104,18 @@ class TestPauseContract:
         assert gc.isenabled()
 
 
-@pytest.mark.parametrize("tier", kernel.available_tiers())
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-def test_warm_run_leaves_no_cyclic_garbage(entry, tier):
-    kernel.set_tier(tier)
+def test_warm_run_leaves_no_cyclic_garbage(entry, kernel_implementations):
     run = ENTRY_POINTS[entry]
-    run()  # warm: imports, module-level caches, permutation searches
-    gc.collect()
-    # Keep the collector off for the whole call, so a cycle built
-    # outside the entry point's own pause is still found below.
-    gc.disable()
-    try:
-        result = run()
-    finally:
-        gc.enable()
-    del result
-    assert gc.collect() == 0
+    for impl in kernel_implementations():
+        run()  # warm: imports, module-level caches, permutation searches
+        gc.collect()
+        # Keep the collector off for the whole call, so a cycle built
+        # outside the entry point's own pause is still found below.
+        gc.disable()
+        try:
+            result = run()
+        finally:
+            gc.enable()
+        del result
+        assert gc.collect() == 0, impl

@@ -2,20 +2,17 @@
 
 The kernel is the single engine behind ``run_session``,
 ``core.batch`` and ``serve.fastpath``; its contract is bit-for-bit
-equality with the object engine on every tier and accel backend.  The
-properties here drive :func:`repro.core.kernel.step_window` directly —
-one step must equal one :class:`ProtocolSession` window — including the
-degenerate rows the fused tier must not collapse incorrectly: zero
-effective share and boundary-exact admission budgets.
+equality with the object engine on both implementations of the step
+(array program, cohort loop) and every accel backend.  The properties
+here drive :func:`repro.core.kernel.step_window` directly — one step
+must equal one :class:`ProtocolSession` window — including the
+degenerate rows the collapse paths must not mishandle: zero effective
+share and boundary-exact admission budgets.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,13 +34,6 @@ def small_stream():
     return make_video_stream(SMALL_PATTERN, gop_count=6)
 
 
-@pytest.fixture(autouse=True)
-def _restore_tier():
-    previous = kernel.tier_name()
-    yield
-    kernel.set_tier(previous)
-
-
 @st.composite
 def kernel_configs(draw):
     """Randomized configs spanning every branch the kernel mirrors."""
@@ -63,7 +53,7 @@ def kernel_configs(draw):
     )
 
 
-def _drive_kernel(stream, config, max_windows, tier=None):
+def _drive_kernel(stream, config, max_windows):
     """Step one row through ``max_windows`` via the public kernel API."""
     windows = list(stream.windows(config.window_frames))[:max_windows]
     shapes = {}
@@ -81,7 +71,6 @@ def _drive_kernel(stream, config, max_windows, tier=None):
             stream.fps,
             index,
             control_serialization=control,
-            tier=tier,
         )
     return row.result
 
@@ -89,13 +78,15 @@ def _drive_kernel(stream, config, max_windows, tier=None):
 class TestStepWindowParity:
     @given(kernel_configs())
     @settings(max_examples=25, deadline=None)
-    def test_steps_equal_session_windows(self, small_stream, config):
+    def test_steps_equal_session_windows(
+        self, small_stream, kernel_implementations, config
+    ):
         expected = ProtocolSession(small_stream, config).run(max_windows=3)
-        for tier in kernel.available_tiers():
-            actual = _drive_kernel(small_stream, config, 3, tier=tier)
-            assert actual == expected, f"tier {tier!r} diverged"
+        for impl in kernel_implementations():
+            actual = _drive_kernel(small_stream, config, 3)
+            assert actual == expected, f"{impl} diverged"
 
-    def test_parity_on_every_backend(self, small_stream):
+    def test_parity_on_every_backend(self, small_stream, kernel_implementations):
         config = ProtocolConfig(gop_size=4, seed=11)
         previous = accel.backend_name()
         try:
@@ -104,10 +95,10 @@ class TestStepWindowParity:
                 expected = ProtocolSession(small_stream, config).run(
                     max_windows=3
                 )
-                for tier in kernel.available_tiers():
-                    actual = _drive_kernel(small_stream, config, 3, tier=tier)
+                for impl in kernel_implementations():
+                    actual = _drive_kernel(small_stream, config, 3)
                     assert actual == expected, (
-                        f"backend {name!r} tier {tier!r} diverged"
+                        f"backend {name!r} {impl} diverged"
                     )
         finally:
             accel.set_backend(previous)
@@ -138,25 +129,25 @@ class TestStepWindowParity:
             ).run(max_windows=3)
             assert row.result == solo
 
-    def test_zero_share_row(self, small_stream):
+    def test_zero_share_row(self, small_stream, kernel_implementations):
         """A starved row (1 bps) sheds every frame at the sender."""
         config = ProtocolConfig(gop_size=4, bandwidth_bps=1.0, seed=5)
         expected = ProtocolSession(small_stream, config).run(max_windows=2)
-        for tier in kernel.available_tiers():
-            actual = _drive_kernel(small_stream, config, 2, tier=tier)
+        for _ in kernel_implementations():
+            actual = _drive_kernel(small_stream, config, 2)
             assert actual == expected
             assert actual.windows[0].sent == 0
             assert actual.windows[0].dropped_at_sender == len(
                 actual.windows[0].transmission_order
             )
 
-    def test_boundary_exact_admission(self):
+    def test_boundary_exact_admission(self, kernel_implementations):
         """Frames whose serialization lands exactly on the window end.
 
         With dyadic frame times (1/32 s at 32 fps) the last frame of
         every window completes exactly at the cycle boundary — the
-        strict ``>`` budget must admit it, on both tiers, and the link
-        must end the window exactly busy until the boundary.
+        strict ``>`` budget must admit it, on both implementations, and
+        the link must end the window exactly busy until the boundary.
         """
         frames = 4
         stream = MediaStream(
@@ -175,8 +166,8 @@ class TestStepWindowParity:
             seed=1,
         )
         expected = ProtocolSession(stream, config).run(max_windows=4)
-        for tier in kernel.available_tiers():
-            actual = _drive_kernel(stream, config, 4, tier=tier)
+        for _ in kernel_implementations():
+            actual = _drive_kernel(stream, config, 4)
             assert actual == expected
             for window in actual.windows:
                 assert window.sent == frames
@@ -326,45 +317,6 @@ class TestWindowLayout:
         assert sum(other.frag_counts) > sum(first.frag_counts)
 
 
-class TestTierSelection:
-    def test_available_tiers(self):
-        assert kernel.REFERENCE in kernel.available_tiers()
-        assert kernel.FUSED in kernel.available_tiers()
-
-    def test_set_tier_resolves_auto_to_fused(self):
-        assert kernel.available_tiers() == ("reference", "fused")
-        assert kernel.set_tier(kernel.AUTO) == kernel.FUSED
-        assert kernel.tier_name() == kernel.FUSED
-
-    def test_set_tier_reference(self):
-        assert kernel.set_tier(kernel.REFERENCE) == kernel.REFERENCE
-        assert kernel.tier_name() == kernel.REFERENCE
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ConfigurationError):
-            kernel.set_tier("turbo")
-
-    def test_env_selects_tier_at_import(self):
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env = dict(os.environ)
-        env["REPRO_KERNEL"] = "reference"
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + env.get("PYTHONPATH", "").split(os.pathsep)
-        ).rstrip(os.pathsep)
-        output = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.core import kernel; print(kernel.tier_name())",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert output.stdout.strip() == kernel.REFERENCE
-
-
 class TestFleetState:
     def _fleet(self, small_stream):
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5, seed=0)
@@ -435,7 +387,9 @@ class TestPrefetchHorizon:
         long_row = kernel.SessionRow(config, 1, horizon=100)
         assert kernel.prefetch_windows(long_row) == kernel.PREFETCH_WINDOWS
 
-    def test_loss_heavy_last_window_refills_mid_window(self):
+    def test_loss_heavy_last_window_refills_mid_window(
+        self, kernel_implementations
+    ):
         """Retransmissions overrun a one-window buffer; parity holds.
 
         With ``max_windows=1`` the capped prefetch draws exactly the
@@ -456,8 +410,7 @@ class TestPrefetchHorizon:
             ProtocolSession(stream, replace(config, seed=seed)).run(max_windows=1)
             for seed in seeds
         ]
-        for tier in kernel.available_tiers():
-            kernel.set_tier(tier)
+        for impl in kernel_implementations():
             registry = obs.enable()
             obs.reset()
             try:
@@ -465,5 +418,5 @@ class TestPrefetchHorizon:
                 refills = registry.snapshot()["counters"].get("batch.refills", 0)
             finally:
                 obs.disable()
-            assert got == expected, f"tier {tier!r} diverged"
-            assert refills > 0, f"tier {tier!r} never refilled mid-window"
+            assert got == expected, f"{impl} diverged"
+            assert refills > 0, f"{impl} never refilled mid-window"

@@ -1,20 +1,19 @@
-"""The fused tier's two implementations: dispatch, plumbing and parity.
+"""The kernel step's two implementations: dispatch and parity.
 
-``fused`` runs the array program (:mod:`repro.core.native`) when the
-accel backend is NumPy and the window has at most 63 frames, and the
-pure-Python cohort loop (``kernel._step_cohorts``) otherwise.  The
-contract pinned here, beyond the general parity batteries:
+``kernel.step_window`` runs the array program (:mod:`repro.core.native`)
+when the accel backend is NumPy and the window has at most 63 frames,
+and the pure-Python cohort loop (``kernel._step_cohorts``) otherwise.
+The contract pinned here, beyond the general parity batteries:
 
-* **Tier plumbing.**  ``reference`` and ``fused`` are the only tiers;
-  ``native`` is not a tier name.
 * **Silent dispatch.**  The per-step choice never warns: the pure
   backend and a 72-frame window run the cohort loop with results equal
-  to the reference tier.
-* **One column ABI.**  Rows stepped by either implementation, or by the
-  reference tier, snapshot to the same :class:`FleetState` columns.
+  to :class:`~repro.core.protocol.ProtocolSession`.
+* **One column ABI.**  Rows stepped by either implementation snapshot
+  to the same :class:`FleetState` columns.
 * **Serving shapes.**  A flash-crowd fleet with premium viewers,
-  per-row shares, shedding and lost anchors is bit-for-bit equal on
-  the reference tier, the array program and the cohort loop.
+  per-row shares, shedding and lost anchors served on the fast path by
+  the array program or the cohort loop is bit-for-bit the event-loop
+  service's.
 * **One receiver pass per step.**  The array receiver scores exactly
   the step's timeline-collapse and replayed lost-anchor rows, in one
   call per window step.
@@ -31,8 +30,7 @@ import pytest
 from repro import accel, obs
 from repro.core import kernel
 from repro.core.batch import run_sessions_batch
-from repro.core.protocol import ProtocolConfig
-from repro.errors import ConfigurationError
+from repro.core.protocol import ProtocolConfig, ProtocolSession
 from repro.media.gop import GopPattern
 from repro.media.stream import make_video_stream
 from repro.serve import bandwidth, service
@@ -51,27 +49,30 @@ def stream():
 
 
 @pytest.fixture(autouse=True)
-def _restore_tier_and_backend():
-    tier = kernel.tier_name()
+def _restore_backend():
     backend = accel.backend_name()
     yield
-    kernel.set_tier(tier)
     accel.set_backend(backend)
 
 
-def _canon(results):
-    return [(result.windows, result.series) for result in results]
-
-
-def _sweep(stream, config, tier):
-    kernel.set_tier(tier)
+def _sweep(stream, config):
     return run_sessions_batch(
         stream, config, seeds=list(SEEDS), max_windows=MAX_WINDOWS
     )
 
 
+def _sessions(stream, config):
+    """The object engine's results for the sweep's seeds."""
+    return [
+        ProtocolSession(stream, replace(config, seed=seed)).run(
+            max_windows=MAX_WINDOWS
+        )
+        for seed in SEEDS
+    ]
+
+
 def _steps_by(monkeypatch):
-    """Count the steps each fused-tier implementation takes."""
+    """Count the steps each implementation of the kernel step takes."""
     from repro.core import native
 
     calls = {"array": 0, "cohorts": 0}
@@ -91,33 +92,18 @@ def _steps_by(monkeypatch):
     return calls
 
 
-class TestTierPlumbing:
-    def test_every_available_tier_round_trips_set_tier(self):
-        for tier in kernel.available_tiers():
-            assert kernel.set_tier(tier) == tier
-            assert kernel.tier_name() == tier
-
-    def test_auto_does_not_resolve_to_native(self):
-        assert kernel.available_tiers() == ("reference", "fused")
-        assert kernel.set_tier(kernel.AUTO) == kernel.FUSED
-
-    def test_native_is_not_a_tier(self):
-        with pytest.raises(ConfigurationError):
-            kernel.set_tier("native")
-
-
 class TestGracefulFallback:
     def test_wide_window_downgrades_to_fused(self, stream, monkeypatch):
         """A 72-frame window runs the cohort loop, silently and exactly."""
         # 6 GOPs of 12 frames = 72 > the 63-bit received mask.
         wide = make_video_stream(GopPattern.parse("IBBPBBPBBPBB"), gop_count=12)
         config = ProtocolConfig(gops_per_window=6, p_good=0.9, p_bad=0.5)
-        expected = _sweep(wide, config, kernel.REFERENCE)
+        expected = _sessions(wide, config)
         calls = _steps_by(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _sweep(wide, config, kernel.FUSED)
-        assert _canon(got) == _canon(expected)
+            got = _sweep(wide, config)
+        assert got == expected
         assert calls == {"array": 0, "cohorts": len(expected[0].windows)}
 
 
@@ -126,24 +112,40 @@ class TestDispatch:
         self, stream, monkeypatch
     ):
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
-        expected = _sweep(stream, config, kernel.REFERENCE)
+        expected = _sessions(stream, config)
         accel.set_backend("pure")
         calls = _steps_by(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _sweep(stream, config, kernel.FUSED)
-        assert _canon(got) == _canon(expected)
+            got = _sweep(stream, config)
+        assert got == expected
         assert calls == {"array": 0, "cohorts": MAX_WINDOWS}
 
     @pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")
     def test_numpy_backend_runs_the_array_program(self, stream, monkeypatch):
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
         calls = _steps_by(monkeypatch)
-        _sweep(stream, config, kernel.FUSED)
+        _sweep(stream, config)
         assert calls == {"array": MAX_WINDOWS, "cohorts": 0}
 
+    def test_each_implementation_turn_runs_its_own_loop(
+        self, stream, monkeypatch, kernel_implementations
+    ):
+        """The test fixture's turns step the implementation they name."""
+        config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
+        calls = _steps_by(monkeypatch)
+        seen = {}
+        for impl in kernel_implementations():
+            before = dict(calls)
+            _sweep(stream, config)
+            seen[impl] = {key: calls[key] - before[key] for key in calls}
+        assert seen.pop("cohort loop") == {"array": 0, "cohorts": MAX_WINDOWS}
+        if np is not None:
+            assert seen == {"array program": {"array": MAX_WINDOWS, "cohorts": 0}}
+        assert kernel._ARRAY_MAX_FRAMES == 63
 
-def _step_rows(stream, config, tier, *, horizon=None):
+
+def _step_rows(stream, config, *, horizon=None):
     windows = list(stream.windows(config.window_frames))[:MAX_WINDOWS]
     shapes: dict = {}
     infos = [
@@ -159,7 +161,6 @@ def _step_rows(stream, config, tier, *, horizon=None):
             stream.fps,
             index,
             control_serialization=control,
-            tier=tier,
         )
     return rows, infos
 
@@ -167,33 +168,36 @@ def _step_rows(stream, config, tier, *, horizon=None):
 @pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")
 class TestMixedTierFleetState:
     def test_mixed_tier_snapshot_round_trips_shared_memory(
-        self, stream, arena_round_trip
+        self, stream, arena_round_trip, kernel_implementations
     ):
-        """Rows stepped under different tiers share one column ABI."""
+        """Rows stepped by either implementation share one column ABI."""
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
-        fused_rows, _ = _step_rows(stream, config, kernel.FUSED)
-        reference_rows, _ = _step_rows(stream, config, kernel.REFERENCE)
+        expected = _sessions(stream, config)
+        stepped = {}
+        for impl in kernel_implementations():
+            rows, _ = _step_rows(stream, config)
+            assert [row.result for row in rows] == expected, impl
+            stepped[impl] = rows
+        array_rows, loop_rows = stepped["array program"], stepped["cohort loop"]
 
-        # The numeric column surface is tier-invariant: the same seeds
-        # stepped under either tier snapshot to identical columns.
+        # The numeric column surface does not depend on the
+        # implementation: the same seeds snapshot to identical columns.
         assert (
-            kernel.FleetState.from_rows(fused_rows).as_dict()
-            == kernel.FleetState.from_rows(reference_rows).as_dict()
+            kernel.FleetState.from_rows(array_rows).as_dict()
+            == kernel.FleetState.from_rows(loop_rows).as_dict()
         )
 
-        # And a *mixed* fleet — half array-stepped, half reference-
-        # stepped — survives the shared-memory round trip unchanged.
-        mixed = kernel.FleetState.from_rows(fused_rows[:3] + reference_rows[3:])
+        # And a *mixed* fleet — half array-stepped, half loop-stepped —
+        # survives the shared-memory round trip unchanged.
+        mixed = kernel.FleetState.from_rows(array_rows[:3] + loop_rows[3:])
         assert arena_round_trip(mixed) == mixed
 
     def test_array_path_prefetch_obeys_the_horizon(self, stream):
         """Capped prefetch draws the same flags on both implementations."""
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
-        array_rows, infos = _step_rows(
-            stream, config, kernel.FUSED, horizon=MAX_WINDOWS
-        )
+        array_rows, infos = _step_rows(stream, config, horizon=MAX_WINDOWS)
         accel.set_backend("pure")
-        loop_rows, _ = _step_rows(stream, config, kernel.FUSED, horizon=MAX_WINDOWS)
+        loop_rows, _ = _step_rows(stream, config, horizon=MAX_WINDOWS)
         assert (
             kernel.FleetState.from_rows(array_rows).as_dict()
             == kernel.FleetState.from_rows(loop_rows).as_dict()
@@ -244,14 +248,14 @@ def _outcome(outcome):
     )
 
 
-def _serve(requests, capacity):
+def _serve(requests, capacity, *, fast=True):
     registry = obs.enable()
     obs.reset()
     try:
         result = service.serve_sessions(
             requests,
             capacity,
-            fast=True,
+            fast=fast,
             scheduler=bandwidth.PriorityScheduler(),
         )
         counters = registry.snapshot()["counters"]
@@ -262,17 +266,16 @@ def _serve(requests, capacity):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_serving_shape_parity(seed, monkeypatch):
-    """Reference tier, array program and cohort loop serve one fleet alike."""
+    """The array program and the cohort loop serve one fleet as the
+    event-loop service does."""
     requests, capacity = _flash_crowd(seed)
-    kernel.set_tier(kernel.REFERENCE)
-    expected, _ = _serve(requests, capacity)
+    expected, _ = _serve(requests, capacity, fast=False)
 
     # The fleet exercises what the serving path feeds the kernel.
     shares = {share for _, admitted, _, share, _ in expected if admitted}
     assert len(shares) > 1
     assert any(shed for _, _, shed, _, _ in expected)
 
-    kernel.set_tier(kernel.FUSED)
     runs = {}
     backends = ["pure"] + (["numpy"] if np is not None else [])
     for backend in backends:
@@ -326,13 +329,10 @@ def _lost_anchor_rows(counters) -> int:
 @pytest.mark.skipif(np is None, reason="needs the NumPy accel backend")
 def test_array_receiver_runs_once_per_step_on_the_timeline_rows(monkeypatch):
     """One receiver pass per window step, scoring only the rows it keeps."""
-    from repro.core.native import step
-
     from repro.core import native
     from repro.core.native import step
 
     requests, capacity = _flash_crowd(0)
-    kernel.set_tier(kernel.FUSED)
     passes = []
     per_step = []
     receive = step._receive_timeline

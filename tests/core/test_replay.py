@@ -18,6 +18,7 @@ and a shedding row that loses an anchor.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -28,7 +29,7 @@ from repro import accel, obs  # noqa: E402
 from repro.core import kernel  # noqa: E402
 from repro.core.batch import run_sessions_batch  # noqa: E402
 from repro.core.native import step  # noqa: E402
-from repro.core.protocol import ProtocolConfig  # noqa: E402
+from repro.core.protocol import ProtocolConfig, ProtocolSession  # noqa: E402
 from repro.media.gop import GopPattern  # noqa: E402
 from repro.media.stream import make_video_stream  # noqa: E402
 from repro.network.markov import GilbertPhase  # noqa: E402
@@ -374,23 +375,23 @@ FLEET_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", sorted(FLEET_CONFIGS))
-def test_replayed_fleets_match_the_reference_tier(name, monkeypatch):
+def test_replayed_fleets_match_protocol_sessions(name, monkeypatch):
     """Batches whose every lost-anchor cohort is replayed, refills and all.
 
     ``run_sessions_batch`` caps each row's prefetch at the windows it
     has left, so late windows also send rows past their flags back to
-    ``run_row_sender``.
+    ``run_row_sender``.  Each row equals its own :class:`ProtocolSession`.
     """
     config = FLEET_CONFIGS[name]
     stream = make_video_stream(GopPattern.parse("IBBP"), gop_count=12)
     seeds = list(range(16))
-    tier = kernel.tier_name()
+    expected = [
+        ProtocolSession(stream, replace(config, seed=seed)).run(max_windows=6)
+        for seed in seeds
+    ]
     backend = accel.backend_name()
     try:
-        kernel.set_tier(kernel.REFERENCE)
-        expected = run_sessions_batch(stream, config, seeds=seeds, max_windows=6)
         accel.set_backend("numpy")
-        kernel.set_tier(kernel.FUSED)
         monkeypatch.setattr(step, "_REPLAY_MIN_ROWS", 1)
         registry = obs.enable()
         obs.reset()
@@ -400,7 +401,6 @@ def test_replayed_fleets_match_the_reference_tier(name, monkeypatch):
         finally:
             obs.disable()
     finally:
-        kernel.set_tier(tier)
         accel.set_backend(backend)
     assert got == expected
     assert counters["kernel.collapse.replay"] > 0

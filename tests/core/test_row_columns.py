@@ -4,10 +4,11 @@ A row's bottleneck share reaches the kernel as its own
 :class:`~repro.core.kernel.WindowInfo` (:attr:`SessionRow.info`), and
 its shed set through the ``shed_for`` hook, so rows at many shares and
 shed sets step in one :func:`~repro.core.kernel.step_window` call.  The
-properties here pin that such a batch equals stepping each share group
-alone, on every tier, and that shedding rows take the collapse paths
-rather than the scalar sender — with results equal to
-:func:`~repro.core.kernel.run_row_sender` (the ``reference`` tier).
+properties here pin, on both implementations of the step, that such a
+batch equals one :class:`~repro.core.protocol.ProtocolSession` per row
+run at the row's share and shedding the row's frames, and equals
+stepping each share group alone; and that shedding rows take the
+collapse paths rather than the scalar sender, with the same results.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro import accel, obs
 from repro.core import kernel
-from repro.core.protocol import ProtocolConfig
+from repro.core.protocol import ProtocolConfig, ProtocolSession
 from repro.media.gop import GopPattern
 from repro.media.stream import make_video_stream
 
@@ -33,11 +34,9 @@ FRACTIONS = (1.0, 0.8, 0.55, 0.3, 1e-6)
 
 
 @pytest.fixture(autouse=True)
-def _restore_tier_and_backend():
-    tier = kernel.tier_name()
+def _restore_backend():
     backend = accel.backend_name()
     yield
-    kernel.set_tier(tier)
     accel.set_backend(backend)
 
 
@@ -47,13 +46,48 @@ class _Row(kernel.SessionRow):
     __slots__ = ("share", "mask")
 
 
+def _rotated(mask: int, n: int, turn: int) -> frozenset:
+    """The offsets of an ``n``-frame window that ``mask`` sheds at ``turn``."""
+    return frozenset(
+        offset for offset in range(n) if mask >> ((offset + turn) % n) & 1
+    )
+
+
 def _shed_for(row: _Row, plan) -> frozenset:
     """A per-row shed set that moves with the window index."""
-    n = len(plan.order)
-    turn = len(row.result.windows)
-    return frozenset(
-        offset for offset in range(n) if row.mask >> ((offset + turn) % n) & 1
-    )
+    return _rotated(row.mask, len(plan.order), len(row.result.windows))
+
+
+class _ShedSession(ProtocolSession):
+    """The object engine shedding exactly what ``_shed_for`` sheds."""
+
+    def __init__(self, stream, config, mask: int) -> None:
+        super().__init__(stream, config)
+        self.mask = mask
+
+    def _shed_frames(self, window_index, window, plan) -> frozenset:
+        return _rotated(self.mask, len(plan.order), window_index)
+
+
+def _sessions(config, cases):
+    """One :class:`ProtocolSession` per case, at the case's share.
+
+    A row's result carries its batch's config, so only the oracle's
+    ``bandwidth_bps`` is set back to the batch's before comparing.
+    """
+    results = []
+    for seed, share, mask in cases:
+        session = _ShedSession(
+            STREAM, replace(config, seed=seed, bandwidth_bps=share), mask
+        )
+        result = session.run(max_windows=WINDOWS)
+        results.append(
+            replace(
+                result,
+                config=replace(result.config, bandwidth_bps=config.bandwidth_bps),
+            )
+        )
+    return results
 
 
 def _ack(row: _Row) -> float:
@@ -83,7 +117,7 @@ def _rows(config, cases):
     return rows
 
 
-def _step_mixed(config, cases, tier):
+def _step_mixed(config, cases):
     """Every row in one ``FleetBatch`` per window; shares ride on ``row.info``."""
     shares = sorted({share for _, share, _ in cases})
     infos = _infos(config, shares)
@@ -100,11 +134,11 @@ def _step_mixed(config, cases, tier):
             control_serialization=_ack,
             shed_for=_shed_for,
         )
-        kernel.step_fleet([batch], tier=tier)
+        kernel.step_fleet([batch])
     return [row.result for row in rows]
 
 
-def _step_grouped(config, cases, tier):
+def _step_grouped(config, cases):
     """Each share group stepped alone on its own info (no ``row.info``)."""
     results = {}
     for share in sorted({share for _, share, _ in cases}):
@@ -120,7 +154,6 @@ def _step_grouped(config, cases, tier):
                 index,
                 control_serialization=kernel.CONTROL_PACKET_BYTES * 8.0 / share,
                 shed_for=_shed_for,
-                tier=tier,
             )
         for case, row in zip(group, rows):
             results[case] = row.result
@@ -164,14 +197,17 @@ def mixed_batches(draw):
 class TestMixedShareBatch:
     @given(mixed_batches())
     @settings(max_examples=30, deadline=None)
-    def test_mixed_batch_equals_share_groups_alone(self, case):
+    def test_mixed_batch_equals_share_groups_alone(
+        self, kernel_implementations, case
+    ):
         config, cases = case
-        expected = _step_grouped(config, cases, kernel.REFERENCE)
-        for tier in kernel.available_tiers():
-            assert _step_grouped(config, cases, tier) == expected, tier
-            assert _step_mixed(config, cases, tier) == expected, tier
+        expected = _sessions(config, cases)
+        for impl in kernel_implementations():
+            grouped = _step_grouped(config, cases)
+            assert grouped == expected, impl
+            assert _step_mixed(config, cases) == grouped, impl
 
-    def test_on_every_backend(self):
+    def test_on_every_backend(self, kernel_implementations):
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5, lossy_feedback=True)
         rate = config.bandwidth_bps
         cases = [
@@ -187,20 +223,22 @@ class TestMixedShareBatch:
         ]
         for name in accel.available_backends():
             accel.set_backend(name)
-            expected = _step_grouped(config, cases, kernel.REFERENCE)
-            for tier in kernel.available_tiers():
-                assert _step_mixed(config, cases, tier) == expected, (name, tier)
+            expected = _sessions(config, cases)
+            for impl in kernel_implementations():
+                assert _step_mixed(config, cases) == expected, (name, impl)
 
 
 class TestShedRowsCollapse:
     """A shed row that loses no anchor never needs the scalar sender."""
 
-    def _run(self, config, tier, seeds, mask):
+    def _cases(self, config, seeds, mask):
+        return [(seed, config.bandwidth_bps, mask) for seed in seeds]
+
+    def _run(self, config, seeds, mask):
         registry = obs.enable()
         obs.reset()
         try:
-            cases = [(seed, config.bandwidth_bps, mask) for seed in seeds]
-            results = _step_mixed(config, cases, tier)
+            results = _step_mixed(config, self._cases(config, seeds, mask))
             counters = registry.snapshot()["counters"]
         finally:
             obs.disable()
@@ -221,11 +259,11 @@ class TestShedRowsCollapse:
         mask = 0b0110_0110  # B frames of the IBBP pattern
         for name in accel.available_backends():
             accel.set_backend(name)
-            expected, _ = self._run(config, kernel.REFERENCE, seeds, mask)
+            expected = _sessions(config, self._cases(config, seeds, mask))
             assert all(
                 window.shed > 0 for result in expected for window in result.windows
             )
-            results, counters = self._run(config, kernel.FUSED, seeds, mask)
+            results, counters = self._run(config, seeds, mask)
             assert results == expected, name
             assert counters.get("kernel.collapse.scalar", 0) == 0, name
             collapsed = counters.get("kernel.collapse.full", 0) + counters.get(
@@ -248,10 +286,10 @@ class TestShedRowsCollapse:
         config = ProtocolConfig(gop_size=4, p_good=0.5, p_bad=0.9)
         seeds = range(1, 9)
         mask = 0b0110_0110
-        expected, _ = self._run(config, kernel.REFERENCE, seeds, mask)
+        expected = _sessions(config, self._cases(config, seeds, mask))
         for name in accel.available_backends():
             accel.set_backend(name)
-            results, counters = self._run(config, kernel.FUSED, seeds, mask)
+            results, counters = self._run(config, seeds, mask)
             assert results == expected, name
             path = "replay" if name == "numpy" else "scalar"
             assert counters.get(f"kernel.collapse.{path}", 0) > 0, name

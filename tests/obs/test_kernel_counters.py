@@ -1,12 +1,11 @@
-"""Kernel observability: dispatch, cohort collapse and batch width.
+"""Kernel observability: cohort collapse and batch width.
 
 Satellite contract of the unified window-step kernel: every step
 reports how many rows it carried (``kernel.steps`` / ``kernel.rows`` /
-the ``kernel.rows_per_window`` histogram), which tier executed it
-(``kernel.dispatch.<tier>``), and — under the fused tier — how the
-cohort split between full collapse, shared-timeline collapse, the
-array program's lost-anchor replay and the scalar fallback
-(``kernel.collapse.*``).
+the ``kernel.rows_per_window`` histogram) and how the cohort split
+between full collapse, shared-timeline collapse, the array program's
+lost-anchor replay and the scalar tail (``kernel.collapse.*``), on both
+implementations of the step.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.core import kernel
 from repro.core.batch import run_sessions_batch
 from repro.core.protocol import ProtocolConfig
 from repro.media.gop import GopPattern
@@ -37,15 +35,8 @@ def tracked():
     obs.disable()
 
 
-@pytest.fixture(autouse=True)
-def _restore_tier():
-    previous = kernel.tier_name()
-    yield
-    kernel.set_tier(previous)
-
-
-def _counters(registry, stream, config, tier):
-    kernel.set_tier(tier)
+def _counters(registry, stream, config):
+    obs.reset()
     run_sessions_batch(
         stream, config, seeds=list(SEEDS), max_windows=MAX_WINDOWS
     )
@@ -53,45 +44,42 @@ def _counters(registry, stream, config, tier):
 
 
 class TestKernelCounters:
-    def test_steps_rows_and_dispatch_fused(self, tracked, stream):
+    def test_steps_rows_and_dispatch_fused(
+        self, tracked, stream, kernel_implementations
+    ):
         config = ProtocolConfig(gop_size=4, p_good=0.95, p_bad=0.5)
-        snapshot = _counters(tracked, stream, config, kernel.FUSED)
-        counters = snapshot["counters"]
-        assert counters["kernel.steps"] == MAX_WINDOWS
-        assert counters["kernel.rows"] == MAX_WINDOWS * len(SEEDS)
-        assert counters["kernel.dispatch.fused"] == MAX_WINDOWS
-        assert "kernel.dispatch.reference" not in counters
+        for impl in kernel_implementations():
+            counters = _counters(tracked, stream, config)["counters"]
+            assert counters["kernel.steps"] == MAX_WINDOWS, impl
+            assert counters["kernel.rows"] == MAX_WINDOWS * len(SEEDS), impl
 
-    def test_dispatch_reference(self, tracked, stream):
-        config = ProtocolConfig(gop_size=4)
-        snapshot = _counters(tracked, stream, config, kernel.REFERENCE)
-        counters = snapshot["counters"]
-        assert counters["kernel.dispatch.reference"] == MAX_WINDOWS
-        assert "kernel.dispatch.fused" not in counters
-        # The cohort split is a fused-tier concept.
-        assert "kernel.collapse.full" not in counters
-
-    def test_collapse_split_accounts_for_every_row(self, tracked, stream):
+    def test_collapse_split_accounts_for_every_row(
+        self, tracked, stream, kernel_implementations
+    ):
         config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5)
-        counters = _counters(tracked, stream, config, kernel.FUSED)["counters"]
-        split = (
-            counters.get("kernel.collapse.full", 0)
-            + counters.get("kernel.collapse.timeline", 0)
-            + counters.get("kernel.collapse.replay", 0)
-            + counters.get("kernel.collapse.scalar", 0)
-        )
-        assert split == counters["kernel.rows"]
+        for impl in kernel_implementations():
+            counters = _counters(tracked, stream, config)["counters"]
+            split = (
+                counters.get("kernel.collapse.full", 0)
+                + counters.get("kernel.collapse.timeline", 0)
+                + counters.get("kernel.collapse.replay", 0)
+                + counters.get("kernel.collapse.scalar", 0)
+            )
+            assert split == counters["kernel.rows"], impl
 
-    def test_lossless_fleet_fully_collapses(self, tracked, stream):
+    def test_lossless_fleet_fully_collapses(
+        self, tracked, stream, kernel_implementations
+    ):
         """With no channel losses every row rides the shared verdict."""
         config = ProtocolConfig(gop_size=4, p_good=1.0, p_bad=0.0)
-        counters = _counters(tracked, stream, config, kernel.FUSED)["counters"]
-        assert counters["kernel.collapse.full"] == counters["kernel.rows"]
-        assert counters.get("kernel.collapse.scalar", 0) == 0
+        for impl in kernel_implementations():
+            counters = _counters(tracked, stream, config)["counters"]
+            assert counters["kernel.collapse.full"] == counters["kernel.rows"], impl
+            assert counters.get("kernel.collapse.scalar", 0) == 0, impl
 
     def test_rows_per_window_histogram(self, tracked, stream):
         config = ProtocolConfig(gop_size=4)
-        snapshot = _counters(tracked, stream, config, kernel.FUSED)
+        snapshot = _counters(tracked, stream, config)
         hist = snapshot["histograms"]["kernel.rows_per_window"]
         assert hist["count"] == MAX_WINDOWS
         assert hist["min"] == len(SEEDS)

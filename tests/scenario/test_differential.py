@@ -4,15 +4,16 @@ Two anchors pin the tentpole:
 
 * **single phase == stationary** — a one-phase ``channel_phases``
   schedule is *bit-for-bit* the plain ``(p_good, p_bad)`` path, on
-  every accel backend, both kernel tiers, the batch engine, both
+  every accel backend, both implementations of the kernel step, the
+  batch engine, both
   serving engines (event loop and fast path) and the sharded fan-out.
   Only the config differs, so results are compared with the config
   normalized away.
 * **object engine == kernel** — multi-phase schedules run through
   :class:`~repro.core.protocol.ProtocolSession` (the reference
   :class:`~repro.network.markov.SwitchingGilbertModel` duplex) must
-  equal :func:`repro.core.kernel.step_window` on both tiers and
-  backends, including the fused tier's per-phase-segment prefetch.
+  equal :func:`repro.core.kernel.step_window` on both implementations
+  and backends, including the step's per-phase-segment prefetch.
 
 This module must keep passing with NumPy absent, so it never imports
 it.
@@ -52,13 +53,6 @@ def small_stream():
     return make_video_stream(GopPattern.parse("IBBP"), gop_count=6)
 
 
-@pytest.fixture(autouse=True)
-def _restore_tier():
-    previous = kernel.tier_name()
-    yield
-    kernel.set_tier(previous)
-
-
 def _single_phase(config: ProtocolConfig) -> ProtocolConfig:
     """The same channel, spelled as a one-phase schedule."""
     return replace(
@@ -86,16 +80,18 @@ def _each_backend():
 
 class TestSinglePhaseIsStationary:
     @pytest.mark.parametrize("seed", [0, 7, 2000])
-    def test_run_session_every_backend_and_tier(self, small_stream, seed):
+    def test_run_session_every_backend_and_tier(
+        self, small_stream, seed, kernel_implementations
+    ):
         config = ProtocolConfig(gop_size=4, seed=seed)
         phased = _single_phase(config)
         for backend in _each_backend():
-            for tier in kernel.available_tiers():
-                kernel.set_tier(tier)
-                expected = run_session(small_stream, config, max_windows=3)
+            expected = ProtocolSession(small_stream, config).run(max_windows=3)
+            for impl in kernel_implementations():
+                assert run_session(small_stream, config, max_windows=3) == expected
                 actual = run_session(small_stream, phased, max_windows=3)
                 assert _strip(actual, expected) == expected, (
-                    f"backend {backend!r} tier {tier!r} diverged"
+                    f"backend {backend!r} {impl} diverged"
                 )
 
     def test_batch_engine(self, small_stream):
@@ -287,7 +283,9 @@ class TestMultiPhaseObjectVsKernel:
     )
 
     @pytest.mark.parametrize("seed", [0, 11, 4242])
-    def test_every_backend_and_tier(self, small_stream, seed):
+    def test_every_backend_and_tier(
+        self, small_stream, seed, kernel_implementations
+    ):
         config = ProtocolConfig(
             gop_size=4, channel_phases=self.PHASES, seed=seed
         )
@@ -295,11 +293,10 @@ class TestMultiPhaseObjectVsKernel:
             expected = ProtocolSession(small_stream, config).run(
                 max_windows=4
             )
-            for tier in kernel.available_tiers():
-                kernel.set_tier(tier)
+            for impl in kernel_implementations():
                 actual = run_session(small_stream, config, max_windows=4)
                 assert actual == expected, (
-                    f"backend {backend!r} tier {tier!r} diverged"
+                    f"backend {backend!r} {impl} diverged"
                 )
 
     def test_mixed_schedule_slab_matches_solo_rows(self):

@@ -13,7 +13,7 @@ Three targets:
   the steady-state engine, not one-off plan searches.
 * ``--target kernel`` runs the same fast path on the K = 256
   steady-state fleet the kernel benchmark gates at 10x — wide enough
-  that the fused tier's per-window cohort work dominates the listing.
+  that the kernel step's per-window cohort work dominates the listing.
 * ``--target hierarchy`` runs the two-level fan-out
   (:mod:`repro.serve.hierarchy`) on a K = 1024, 32-shard plan with
   ``jobs=1`` so the shard workers execute in-process and the listing
@@ -73,23 +73,13 @@ def main(argv: list[str] | None = None) -> int:
         choices=("figure8", "serve", "kernel", "hierarchy"),
         default="figure8",
         help="hot path to profile: the Figure-8 session engine, the "
-        "window-batched serving fast path, the K = 256 fused-kernel "
+        "window-batched serving fast path, the K = 256 kernel "
         "steady state, or the K = 1024 hierarchical fan-out "
         "(default figure8)",
-    )
-    parser.add_argument(
-        "--tier",
-        default=None,
-        help="kernel tier to profile under (reference, fused or "
-        "auto); default: the session's resolved tier (REPRO_KERNEL)",
     )
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.core import kernel as repro_kernel
-
-    if args.tier is not None:
-        repro_kernel.set_tier(args.tier)
     if args.target == "hierarchy":
         from repro.serve import LoadSpec, generate_requests, serve_sessions
         from repro.serve.hierarchy import plan_hierarchy, run_hierarchy
@@ -185,15 +175,13 @@ def main(argv: list[str] | None = None) -> int:
     from repro import accel
 
     header = (
-        f"# target={args.target} tier={repro_kernel.tier_name()} "
+        f"# target={args.target} "
         f"backend={accel.backend_name()} rev={git_short_rev()}\n"
     )
     listing = header + buffer.getvalue()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     suffix = "" if args.target == "figure8" else f"_{args.target}"
-    if args.tier is not None:
-        suffix += f"_{repro_kernel.tier_name()}"
     out_path = args.out_dir / f"PROFILE_{git_short_rev()}{suffix}.txt"
     out_path.write_text(listing)
 
