@@ -91,20 +91,9 @@ class AdaptiveController:
             raise ConfigurationError("alpha must be within [0, 1]")
         self.alpha = alpha
         self._estimators: Dict[int, LossEstimator] = {}
-        #: Set by the kernel's array program while it owns this
-        #: controller's state in columnar form: a zero-argument callback
-        #: that writes the columns back into ``_estimators`` (and clears
-        #: itself).
-        #: Every public read/write path syncs first, so external
-        #: observers — the scenario harness's b-hat series, the serve
-        #: shed policy — always see current estimates whichever
-        #: implementation of the kernel step ran.
-        self._sync = None
 
     def estimator_for(self, layer: int, window: int) -> LossEstimator:
         """The estimator of ``layer``, created on first use."""
-        if self._sync is not None:
-            self._sync()
         existing = self._estimators.get(layer)
         if existing is None or existing.window != window:
             existing = LossEstimator(window=window, alpha=self.alpha)
@@ -114,8 +103,6 @@ class AdaptiveController:
     def observe(self, layer: int, window: int, observed_burst: int) -> None:
         # Inlined estimator_for + update: this runs once per layer per
         # ACK, and the call chain dominated the feedback path.
-        if self._sync is not None:
-            self._sync()
         estimator = self._estimators.get(layer)
         if estimator is None or estimator.window != window:
             estimator = LossEstimator(window=window, alpha=self.alpha)
@@ -134,6 +121,4 @@ class AdaptiveController:
 
     @property
     def layers(self) -> Dict[int, LossEstimator]:
-        if self._sync is not None:
-            self._sync()
         return dict(self._estimators)

@@ -47,18 +47,8 @@ from repro import obs
 from repro.core import kernel
 from repro.core.kernel import (
     CONTROL_PACKET_BYTES as _CONTROL_PACKET_BYTES,
-    FEEDBACK_SEED_OFFSET as _FEEDBACK_SEED_OFFSET,
-    PREFETCH_SLACK as _PREFETCH_SLACK,
-    PREFETCH_WINDOWS as _PREFETCH_WINDOWS,
-    RowWindow as _RowWindow,
     SessionRow as _Row,
     WindowInfo as _WindowInfo,
-    WindowShape as _Shape,
-    drain_acks as _drain_acks,
-    loss_run_count as _loss_run_count,
-    row_bounds as _row_bounds,
-    run_row_sender as _run_row_sender,
-    send_ack as _send_ack,
 )
 from repro.core.protocol import ProtocolConfig, SessionResult
 from repro.errors import ProtocolError
@@ -74,27 +64,6 @@ __all__ = [
     "run_sessions_batch",
     "summarize_replications",
 ]
-
-# Backward-compatible aliases: the engine internals now live in
-# repro.core.kernel under public names.  Kept so downstream code (and
-# the serve fast path's older imports) that reached for the underscore
-# names keeps working.
-_ = (
-    _CONTROL_PACKET_BYTES,
-    _FEEDBACK_SEED_OFFSET,
-    _PREFETCH_SLACK,
-    _PREFETCH_WINDOWS,
-    _Row,
-    _RowWindow,
-    _Shape,
-    _WindowInfo,
-    _drain_acks,
-    _loss_run_count,
-    _row_bounds,
-    _run_row_sender,
-    _send_ack,
-)
-del _
 
 
 # ----------------------------------------------------------------------

@@ -36,10 +36,10 @@ dispatched by what their own randomness requires:
 Each step picks one of two implementations of that split from two
 facts, with no warning: on the NumPy accel backend and for windows of
 at most 63 frames (the received-bitmask word) it runs the array
-program of :mod:`repro.core.native` — columnar Equation-1 folds, a
-columnar replay of lost-anchor rows, and one matrix pass scoring the
-step's rows — otherwise it runs the pure-Python cohort loop
-(:func:`_step_cohorts`).  Both are bit-for-bit equal to the object
+program of :mod:`repro.core.native` — a columnar replay of
+lost-anchor rows and one matrix pass scoring the step's rows, around
+the cohort loop's own per-row feedback fold and burst bounds —
+otherwise it runs the pure-Python cohort loop (:func:`_step_cohorts`).  Both are bit-for-bit equal to the object
 engine :class:`~repro.core.protocol.ProtocolSession`, which the
 differential suites in ``tests/core`` and ``tests/serve`` pin on both
 accel backends, with and without NumPy.  The ``kernel.collapse.*``
@@ -418,10 +418,8 @@ class SessionRow:
         "collector",
         "ack_seq",
         "pending",
-        "native_ctl",
         "horizon",
         "info",
-        "__weakref__",
     )
 
     def __init__(
@@ -453,10 +451,6 @@ class SessionRow:
         self.collector = FeedbackCollector()
         self.ack_seq = 0
         self.pending: List[Tuple[float, Feedback]] = []
-        #: Columnar Equation-1 state owned by the array program while
-        #: it steps this row (``None`` = the controller objects are
-        #: truth); see :mod:`repro.core.native.step`.
-        self.native_ctl = None
         #: Windows this row will step in all, when its engine knows:
         #: caps the loss-flag prefetch depth (:func:`prefetch_windows`).
         #: ``None`` = unknown, prefetch the full ``PREFETCH_WINDOWS``.

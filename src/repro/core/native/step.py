@@ -12,16 +12,13 @@ Stages
 ------
 1. *Prefetch.*  ``kernel.prefetch_flags`` over ``kernel.plan_refills``,
    exactly as the cohort loop.
-2. *Feedback fold* (:func:`_fold_feedback`).  Arrived ACKs are grouped
-   by feedback identity (clean cohorts share one immutable
-   :class:`~repro.network.feedback.Feedback` per window, so a K-row
-   fleet typically carries a handful of distinct messages) and each
-   group's Equation-1 update is applied as one fold over the columnar
-   controller state instead of K object-graph walks.
-3. *Plan* (:func:`_plan_assets`).  Per-layer burst bounds come off the
-   controller matrix via :func:`kernels.burst_bounds`; rows are grouped
-   by their packed bound vector so ``plan_for`` / ``_schedule_for`` run
-   once per distinct plan, not once per row.
+2. *Feedback.*  ``kernel.drain_acks`` per row, exactly as the cohort
+   loop: every ACK arrived by the window start folds into the row's
+   controller objects (Equation 1) and Gilbert-fit estimator.
+3. *Plan* (:func:`_plan_assets`).  ``kernel.row_bounds`` per row, as
+   the cohort loop; rows with equal bounds and timing share one
+   ``plan_for`` / ``_schedule_for`` result, so both run once per
+   distinct plan, not once per row.
 4. *Classify* (:func:`_classify`).  The cohort loop's split, with the
    same tests: clean rows take the shared timeline and shared verdict;
    rows with (``retransmit_anchors``) a lost packet of an anchor
@@ -48,123 +45,19 @@ Stages
    ``run_row_sender`` / ``_receive_and_ack`` path the cohort loop uses.
    Rows are independent, so running them after the scored rows changes
    no result.
-
-Columnar controller state
--------------------------
-While the array program steps a row, its Equation-1 estimators live in
-``row.native_ctl = (cols, vals)``: ``cols`` is the shape's layer-index
-tuple (identity-compared), ``vals`` a flat float64 list of
-``(present, window, estimate, observations)`` per layer.  The
-controller objects remain reachable — ``AdaptiveController._sync`` is
-pointed at a write-back callback (holding the row weakly, so no
-reference cycle forms), so any external read (the scenario harness's
-b-hat series, the serve shed policy, a step taken by the cohort loop)
-dissolves the columns back into objects first.  The Gilbert-fit estimator and the feedback collector
-stay object-resident: both are read directly by serve-side policies
-mid-window.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core import kernel as K
-from repro.core.adaptation import LossEstimator
 from repro.core.native import kernels
 from repro.core.protocol import WindowResult
 from repro.network.feedback import Feedback
-
-#: Feedback groups at least this large fold through the matrix kernel;
-#: smaller groups fold in plain Python (same float ops, less gather).
-_FOLD_MATRIX_MIN = 48
-
-
-# ----------------------------------------------------------------------
-# Columnar controller state (gather / dissolve / sync)
-# ----------------------------------------------------------------------
-
-
-def _dissolve_row(row) -> None:
-    """Write ``row.native_ctl`` back into the controller objects."""
-    ctl = row.native_ctl
-    if ctl is None:
-        return
-    cols, vals = ctl
-    row.native_ctl = None
-    controller = row.controller
-    controller._sync = None
-    est_map = controller._estimators
-    alpha = controller.alpha
-    for j, layer_index in enumerate(cols):
-        base = 4 * j
-        if vals[base] != 1.0:
-            continue
-        window = int(vals[base + 1])
-        est = est_map.get(layer_index)
-        if est is None or est.window != window:
-            est = LossEstimator(window=window, alpha=alpha)
-            est_map[layer_index] = est
-        est._estimate = vals[base + 2]
-        est.observations = int(vals[base + 3])
-
-
-class _RowSync:
-    """``AdaptiveController._sync`` callback of one array-owned row.
-
-    The row owns its controller, so the callback holds the row weakly:
-    a strong back-reference would make one reference cycle per row,
-    which only the cyclic collector could free.
-    """
-
-    __slots__ = ("row",)
-
-    def __init__(self, row) -> None:
-        self.row = weakref.ref(row)
-
-    def __call__(self) -> None:
-        row = self.row()
-        if row is not None and row.controller._sync is self:
-            _dissolve_row(row)
-
-
-def _ctl_of(row, cols, alpha) -> Optional[List[float]]:
-    """The row's columnar controller state, gathered on first use.
-
-    Returns ``None`` when the controller cannot be represented (foreign
-    alpha) — the row then stays on the object path.
-    """
-    ctl = row.native_ctl
-    if ctl is not None:
-        if ctl[0] is cols:
-            return ctl[1]
-        _dissolve_row(row)  # different shape: write back, regather below
-    controller = row.controller
-    if controller.alpha != alpha:
-        return None
-    est_map = controller._estimators
-    vals: List[float] = []
-    for layer_index in cols:
-        est = est_map.get(layer_index)
-        if est is None:
-            vals.extend((0.0, 0.0, 0.0, 0.0))
-        elif est.alpha != alpha:
-            return None
-        else:
-            vals.extend(
-                (
-                    1.0,
-                    float(est.window),
-                    est._estimate,
-                    float(est.observations),
-                )
-            )
-    row.native_ctl = (cols, vals)
-    controller._sync = _RowSync(row)
-    return vals
 
 
 # ----------------------------------------------------------------------
@@ -173,27 +66,12 @@ def _ctl_of(row, cols, alpha) -> Optional[List[float]]:
 
 
 class _ShapeNative:
-    """Shape-level arrays: controller column map and need-mask vector."""
+    """Shape-level arrays: layer-index columns and need-mask vector."""
 
-    __slots__ = ("cols", "colpos", "bounds_layers", "need_masks")
+    __slots__ = ("cols", "need_masks")
 
     def __init__(self, shape) -> None:
-        layers = shape.transmission.layers
-        self.cols = tuple(layer.index for layer in layers)
-        colpos = {layer_index: j for j, layer_index in enumerate(self.cols)}
-        self.colpos = colpos
-        # (column, layer index, window size, fresh-estimator bound) per
-        # scrambled layer, in ``row_bounds`` iteration order.
-        self.bounds_layers = tuple(
-            (
-                colpos[layer.index],
-                layer.index,
-                layer.size,
-                max(1, min(layer.size, -(-layer.size // 2))),
-            )
-            for layer in layers
-            if not layer.critical and layer.size > 1
-        )
+        self.cols = tuple(layer.index for layer in shape.transmission.layers)
         self.need_masks = np.array(shape.need_masks, dtype=np.uint64)
 
 
@@ -237,270 +115,33 @@ def _anchor_spans(sched, anchors) -> Tuple[Tuple[int, int], ...]:
 
 
 # ----------------------------------------------------------------------
-# Stage 2: feedback fold
+# Stage 3: burst bounds and plan assets, shared per bound vector
 # ----------------------------------------------------------------------
 
 
-def _fold_feedback(rows, shn, window_start: float, alpha: float, track: bool) -> None:
-    """Drain every ACK arrived by ``window_start``, folding per message.
-
-    The steady state carries one or two in-flight ACKs per row, and
-    clean cohorts share the immutable messages — so rows group by
-    their arrived-feedback identity tuple (in arrival order, exactly
-    the order ``drain_acks`` would apply) and each distinct message
-    folds once per group instead of once per row.
-
-    Messages group by VALUE identity: the sequence/window pair plus
-    the identities of the shared burst-estimate dict and statistics
-    tuple (the receiver interns both per distinct (schedule, loss
-    pattern), and the scalar paths build fresh objects, so equal keys
-    imply equal messages).  Value-equal ACKs from different rows then
-    fold as one group exactly like a clean cohort's shared message.
-    """
-    cols = shn.cols
-    groups: Dict[object, Tuple[Tuple[Feedback, ...], list]] = {}
-    for row in rows:
-        pending = row.pending
-        if not pending:
-            continue
-        if len(pending) == 1:
-            arrival, feedback = pending[0]
-            if arrival > window_start:
-                continue
-            pending.clear()
-            key: object = (
-                feedback.sequence,
-                feedback.window_index,
-                id(feedback.burst_estimates),
-                id(feedback.loss_statistics),
-            )
-            messages = (feedback,)
-        else:
-            arrived = [item for item in pending if item[0] <= window_start]
-            if not arrived:
-                continue
-            row.pending = [item for item in pending if item[0] > window_start]
-            arrived.sort(key=lambda item: item[0])
-            messages = tuple(feedback for _, feedback in arrived)
-            key = tuple(
-                (
-                    feedback.sequence,
-                    feedback.window_index,
-                    id(feedback.burst_estimates),
-                    id(feedback.loss_statistics),
-                )
-                for feedback in messages
-            )
-        group = groups.get(key)
-        if group is None:
-            groups[key] = group = (messages, [])
-        group[1].append(row)
-
-    stale_count = used_count = 0
-    matrix_folds: List[Tuple[list, List[List[float]]]] = []
-    colpos = shn.colpos
-    a1 = 1.0 - alpha
-    for messages, group_rows in groups.values():
-        use_matrix = len(group_rows) >= _FOLD_MATRIX_MIN
-        for feedback in messages:
-            # Pre-resolve the fold: (column base, layer size, clamped
-            # burst) per observed layer.  All rows in a group share the
-            # feedback's window's layer_sizes (the message came off one
-            # shared verdict), so one representative read is exact.
-            ops: Optional[list] = None
-            foldable = True
-            estimates = feedback.burst_estimates
-            if estimates:
-                window = group_rows[0].result.windows[feedback.window_index]
-                sizes = window.layer_sizes
-                frames = window.frames
-                ops = []
-                for layer_index, burst in estimates.items():
-                    layer_size = sizes.get(layer_index, frames)
-                    if layer_size <= 1:
-                        continue
-                    j = colpos.get(layer_index)
-                    if j is None:
-                        foldable = False
-                        break
-                    clamped = burst if burst < layer_size else layer_size
-                    ops.append((4 * j, layer_size, clamped))
-            if not foldable:
-                for row in group_rows:
-                    K._apply_feedback(row, feedback)
-                continue
-            statistics = feedback.loss_statistics
-            fold_stats = statistics is not None and statistics[2] > 0
-            fresh_ctls: List[List[float]] = []
-            for row in group_rows:
-                collector = row.collector
-                collector.received += 1
-                latest = collector._latest
-                if latest is not None and feedback.sequence <= latest.sequence:
-                    collector.ignored_stale += 1
-                    stale_count += 1
-                    continue
-                collector._latest = feedback
-                row.result.acks_used += 1
-                used_count += 1
-                if ops:
-                    ctl = _ctl_of(row, cols, alpha)
-                    if ctl is None:
-                        for layer_index, burst in estimates.items():
-                            layer_size = sizes.get(layer_index, frames)
-                            if layer_size > 1:
-                                row.controller.observe(
-                                    layer_index, layer_size, burst
-                                )
-                    elif use_matrix:
-                        fresh_ctls.append(ctl)
-                    else:
-                        for base, layer_size, clamped in ops:
-                            size_f = float(layer_size)
-                            if ctl[base] == 1.0 and ctl[base + 1] == size_f:
-                                ctl[base + 2] = (
-                                    alpha * clamped + a1 * ctl[base + 2]
-                                )
-                                ctl[base + 3] += 1.0
-                            else:
-                                ctl[base] = 1.0
-                                ctl[base + 1] = size_f
-                                ctl[base + 2] = alpha * clamped + a1 * (
-                                    size_f / 2.0
-                                )
-                                ctl[base + 3] = 1.0
-                if fold_stats:
-                    row.estimator.observe_counts(
-                        lost=statistics[0],
-                        total=statistics[2],
-                        runs=statistics[1],
-                    )
-            if fresh_ctls:
-                matrix_folds.append((ops, fresh_ctls))
-
-    for ops, fresh_ctls in matrix_folds:
-        matrix = np.array(fresh_ctls, dtype=np.float64)
-        for base, layer_size, clamped in ops:
-            kernels.ewma_fold(matrix, base, layer_size, clamped, alpha)
-        for vals, folded in zip(fresh_ctls, matrix.tolist()):
-            vals[:] = folded
-
-    if track:
-        if stale_count:
-            obs.counter("protocol.acks_stale").inc(stale_count)
-        if used_count:
-            obs.counter("protocol.acks_used").inc(used_count)
-
-
-# ----------------------------------------------------------------------
-# Stage 3: burst bounds and plan assets, grouped by bound vector
-# ----------------------------------------------------------------------
-
-
-def _plan_assets(rows, info, config, shn, window_index, window_start, window_end):
+def _plan_assets(rows, info, config, window_index, window_start, window_end):
     """(plan, sequences, unshed schedule) per row.
 
-    The schedule is timed by the row's own info, so caches key on
+    Bounds come from ``kernel.row_bounds``, as in the cohort loop.  The
+    schedule is timed by the row's own info, so assets are shared per
     (bounds, info).
     """
     shape = info.shape
     scramble = config.scramble
-
-    def asset_for(bounds, row_info):
-        plan, sequences = shape.plan_for(bounds, scramble)
-        sched = K._schedule_for(
-            row_info, plan, window_index, window_start, window_end
-        )
-        return plan, sequences, sched
-
-    assets: List[Optional[tuple]] = [None] * len(rows)
-
-    def unbounded(indices) -> None:
-        """Assets of rows planned without burst bounds."""
-        cache: Dict[object, tuple] = {}
-        for i in indices:
-            row_info = rows[i].info or info
-            asset = cache.get(row_info)
-            if asset is None:
-                asset = cache[row_info] = asset_for({}, row_info)
-            assets[i] = asset
-
-    if not scramble:
-        unbounded(range(len(rows)))
-        return assets
-    if config.burst_policy == "quantile":
-        epsilon = config.quantile_epsilon
-        cache: Dict[object, tuple] = {}
-        for i, row in enumerate(rows):
-            quantile = row.estimator.burst_quantile(epsilon)
-            row_info = row.info or info
-            asset = cache.get((quantile, row_info))
-            if asset is None:
-                bounds = {
-                    layer_index: (quantile if quantile < size else size)
-                    for _, layer_index, size, _ in shn.bounds_layers
-                }
-                asset = asset_for(bounds, row_info)
-                cache[(quantile, row_info)] = asset
-            assets[i] = asset
-        return assets
-
-    cols = shn.cols
-    alpha = config.alpha
-    ctl_rows: List[int] = []
-    ctl_pack: List[List[float]] = []
-    object_rows: List[int] = []
-    for i, row in enumerate(rows):
-        ctl = _ctl_of(row, cols, alpha)
-        if ctl is None:
-            object_rows.append(i)
-        else:
-            ctl_rows.append(i)
-            ctl_pack.append(ctl)
-    if ctl_rows:
-        if not shn.bounds_layers:
-            unbounded(ctl_rows)
-        else:
-            matrix = np.array(ctl_pack, dtype=np.float64)
-            bound_vecs = []
-            packed: Optional[object] = np.zeros(len(ctl_rows), dtype=np.int64)
-            # 6 bits per layer (bounds <= window <= 63); beyond 10
-            # layers fall back to tuple keys.
-            pack_keys = len(shn.bounds_layers) * 6 <= 62
-            for column, _, size, default in shn.bounds_layers:
-                base = 4 * column
-                out = kernels.burst_bounds(matrix, base, size, default)
-                bound_vecs.append(out)
-                if pack_keys:
-                    packed = packed * 64 + out
-            # Write creation side effects (fresh estimators) back.
-            for vals, gathered in zip(ctl_pack, matrix.tolist()):
-                vals[:] = gathered
-            bound_lists = [vec.tolist() for vec in bound_vecs]
-            if pack_keys:
-                keys = packed.tolist()
-            else:
-                keys = list(zip(*bound_lists))
-            layer_indices = [
-                layer_index for _, layer_index, _, _ in shn.bounds_layers
-            ]
-            cache = {}
-            for position, i in enumerate(ctl_rows):
-                row_info = rows[i].info or info
-                key = (keys[position], row_info)
-                asset = cache.get(key)
-                if asset is None:
-                    bounds = {
-                        layer_index: bound_lists[q][position]
-                        for q, layer_index in enumerate(layer_indices)
-                    }
-                    asset = asset_for(bounds, row_info)
-                    cache[key] = asset
-                assets[i] = asset
-    for i in object_rows:
-        row = rows[i]
+    cache: Dict[tuple, tuple] = {}
+    assets: List[tuple] = []
+    for row in rows:
         bounds = K.row_bounds(row, config, shape)
-        assets[i] = asset_for(bounds, row.info or info)
+        row_info = row.info or info
+        key = (tuple(bounds.values()), row_info)
+        asset = cache.get(key)
+        if asset is None:
+            plan, sequences = shape.plan_for(bounds, scramble)
+            sched = K._schedule_for(
+                row_info, plan, window_index, window_start, window_end
+            )
+            asset = cache[key] = (plan, sequences, sched)
+        assets.append(asset)
     return assets
 
 
@@ -1369,9 +1010,10 @@ def step_native(
         shn = _ShapeNative(shape)
         shape.native = shn
 
-    _fold_feedback(rows, shn, window_start, config.alpha, track)
+    for row in rows:
+        K.drain_acks(row, window_start)
     assets = _plan_assets(
-        rows, info, config, shn, window_index, window_start, window_end
+        rows, info, config, window_index, window_start, window_end
     )
     split = _classify(
         rows,

@@ -7,7 +7,9 @@ equality with the object engine on both implementations of the step
 here drive :func:`repro.core.kernel.step_window` directly — one step
 must equal one :class:`ProtocolSession` window — including the
 degenerate rows the collapse paths must not mishandle: zero effective
-share and boundary-exact admission budgets.
+share and boundary-exact admission budgets — and after every window a
+row's adaptation state (Equation-1 estimators, Gilbert fit, ACK
+collector) must equal its session's.
 """
 
 from __future__ import annotations
@@ -180,6 +182,109 @@ class TestStepWindowParity:
         assert run_session(small_stream, config, max_windows=3) == (
             ProtocolSession(small_stream, config).run(max_windows=3)
         )
+
+
+#: (config, fleet size, duplicate each window's in-flight ACK).  Most
+#: rows of the clean 64-row fleet share one ACK message per window.
+STATE_CASES = {
+    "layered-scrambled": (
+        ProtocolConfig(gop_size=4, p_good=0.85, p_bad=0.6, lossy_feedback=False),
+        8,
+        False,
+    ),
+    "quantile": (
+        ProtocolConfig(
+            gop_size=4, p_good=0.85, p_bad=0.6, burst_policy="quantile"
+        ),
+        8,
+        False,
+    ),
+    "lossy-feedback-stale": (
+        ProtocolConfig(gop_size=4, p_good=0.8, p_bad=0.6, lossy_feedback=True),
+        8,
+        True,
+    ),
+    "fleet-64": (ProtocolConfig(gop_size=4, p_good=0.995, p_bad=0.5), 64, False),
+}
+STATE_WINDOWS = 8
+
+
+def _adaptation_state(controller, estimator, collector):
+    """Equation-1 estimators, Gilbert-fit counts and ACK collector counts."""
+    return (
+        {
+            layer: (est.window, est.estimate, est.observations)
+            for layer, est in controller.layers.items()
+        },
+        vars(estimator),
+        (collector.received, collector.ignored_stale),
+    )
+
+
+def _duplicate_acks(pending, index):
+    """``pending`` plus a copy of window ``index``'s ACK, if in flight."""
+    return pending + [item for item in pending if item[1].window_index == index]
+
+
+class TestAdaptationState:
+    @pytest.mark.parametrize("case", sorted(STATE_CASES))
+    def test_rows_keep_the_sessions_adaptation_state(
+        self, case, kernel_implementations
+    ):
+        """Every window leaves each row's estimators equal to its session's.
+
+        The duplicate case copies each window's in-flight ACK on both
+        sides, so the copy reaches the collector as a stale message.
+        """
+        config, fleet, duplicate = STATE_CASES[case]
+        stream = make_video_stream(SMALL_PATTERN, gop_count=2 * STATE_WINDOWS)
+        seeds = list(range(1, fleet + 1))
+        windows = list(stream_windows(stream, config))[:STATE_WINDOWS]
+        control = kernel.CONTROL_PACKET_BYTES * 8.0 / config.bandwidth_bps
+        for impl in kernel_implementations():
+            sessions = [
+                ProtocolSession(stream, replace(config, seed=seed))
+                for seed in seeds
+            ]
+            rows = [kernel.SessionRow(config, seed) for seed in seeds]
+            shapes = {}
+            shared_ack = 0
+            for index, window in enumerate(windows):
+                info = kernel.WindowInfo(window, config, stream.fps, shapes)
+                kernel.step_window(
+                    rows,
+                    info,
+                    config,
+                    stream.fps,
+                    index,
+                    control_serialization=control,
+                )
+                for session in sessions:
+                    session.run_window(index, window)
+                if duplicate:
+                    for row, session in zip(rows, sessions):
+                        row.pending = _duplicate_acks(row.pending, index)
+                        session._pending_acks = _duplicate_acks(
+                            session._pending_acks, index
+                        )
+                for seed, row, session in zip(seeds, rows, sessions):
+                    assert _adaptation_state(
+                        row.controller, row.estimator, row.collector
+                    ) == _adaptation_state(
+                        session.controller,
+                        session.channel_estimator,
+                        session.collector,
+                    ), (impl, index, seed)
+                sharing = {}
+                for row in rows:
+                    for _, feedback in row.pending:
+                        key = id(feedback.burst_estimates)
+                        sharing[key] = sharing.get(key, 0) + 1
+                shared_ack = max([shared_ack, *sharing.values()])
+            if duplicate:
+                assert sum(row.collector.ignored_stale for row in rows) > 0
+            if fleet == 64:
+                assert shared_ack > 48, shared_ack
 
 
 def stream_windows(stream, config):
