@@ -5,9 +5,8 @@ Runs the same 4096-session fleet through the two-level hierarchy
 ``serve_sessions(fast=True)``, one call per shard of the *same* shard
 partitioning, and checks every session outcome is bit-for-bit
 identical.  The hierarchy hosts many shard fleets per worker, steps
-them as one slab per window epoch and ships aggregates through the
-shared-memory result arena; the hierarchy-vs-serial ratio is reported,
-not gated.
+them as one slab per window epoch and returns its aggregates as float
+columns; the hierarchy-vs-serial ratio is reported, not gated.
 """
 
 from __future__ import annotations

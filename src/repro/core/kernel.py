@@ -44,25 +44,12 @@ engine :class:`~repro.core.protocol.ProtocolSession`, which the
 differential suites in ``tests/core`` and ``tests/serve`` pin on both
 accel backends, with and without NumPy.  The ``kernel.collapse.*``
 counters expose the split.
-
-Fleet state
------------
-:class:`FleetState` snapshots the numeric per-row columns
-(:data:`ROW_COLUMNS`) as an immutable struct-of-arrays block: the
-column contract rows stepped by either implementation agree on.
-:class:`FleetView` is its writable twin over a float64 buffer, the
-zero-copy view the hierarchical fan-out's shared-memory result arena
-(:class:`repro.serve.hierarchy.ResultArena`) is written through;
-:func:`new_segment`, :func:`audit_segments` and :func:`reap_segments`
-manage those segments' names and crash recovery.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import random
-import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -71,7 +58,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -82,7 +68,6 @@ from repro import accel, obs
 from repro.core.adaptation import AdaptiveController
 from repro.core.layered import LayeredPlan, LayeredScheduler
 from repro.core.protocol import ProtocolConfig, SessionResult, WindowResult
-from repro.errors import ConfigurationError
 from repro.media.ldu import Ldu
 from repro.metrics.continuity import consecutive_loss
 from repro.metrics.windows import WindowSeries
@@ -98,22 +83,17 @@ __all__ = [
     "PREFETCH_SLACK",
     "PREFETCH_WINDOWS",
     "FleetBatch",
-    "FleetState",
-    "FleetView",
     "RowWindow",
     "SessionRow",
     "WindowInfo",
     "WindowLayout",
     "WindowShape",
-    "audit_segments",
     "drain_acks",
     "gc_paused",
     "loss_run_count",
-    "new_segment",
     "plan_refills",
     "prefetch_flags",
     "prefetch_windows",
-    "reap_segments",
     "row_bounds",
     "run_row_sender",
     "send_ack",
@@ -1613,227 +1593,3 @@ def step_fleet(batches: Sequence[FleetBatch]) -> int:
         )
     return refill_rows
 
-
-# ----------------------------------------------------------------------
-# Columnar fleet state and shared-memory segments
-# ----------------------------------------------------------------------
-
-#: The numeric per-row engine columns :meth:`FleetState.from_rows`
-#: snapshots (booleans and counters are carried as float64).
-ROW_COLUMNS = (
-    "fwd_busy",
-    "fb_busy",
-    "pos",
-    "fwd_bad",
-    "fb_bad",
-    "fwd_drawn",
-    "fb_drawn",
-    "ack_seq",
-)
-
-#: Name prefixes of every shared-memory segment this package creates
-#: (``repro-fleet`` is no longer created, but segments an older build
-#: leaked under it stay recognizable).  The owner pid is baked into the
-#: name (``repro-arena-<pid>-<token>``) so :func:`reap_segments` can
-#: tell a crashed run's leak from a live run's in-flight segment.
-SEGMENT_PREFIXES = ("repro-fleet", "repro-arena")
-
-_SHM_DIR = "/dev/shm"
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        # Permission (or platform) errors mean the pid slot is taken.
-        return True
-    return True
-
-
-def _segment_owner(name: str) -> Optional[int]:
-    parts = name.split("-")
-    if len(parts) < 4:
-        return None
-    try:
-        return int(parts[2])
-    except ValueError:
-        return None
-
-
-def new_segment(size: int, *, kind: str = "arena"):
-    """Create a shared-memory segment with a recognizable, owned name.
-
-    The caller's pid is baked into the name, and the caller is the one
-    responsible for unlinking: the segment only ever counts as leaked
-    once that process is gone.
-    """
-    from multiprocessing import shared_memory
-
-    owner = os.getpid()
-    for _ in range(32):
-        name = f"repro-{kind}-{owner}-{secrets.token_hex(4)}"
-        try:
-            return shared_memory.SharedMemory(create=True, size=size, name=name)
-        except FileExistsError:
-            continue
-    # 32 token collisions in a row cannot happen; keep a safe fallback.
-    return shared_memory.SharedMemory(create=True, size=size)
-
-
-def audit_segments() -> List[str]:
-    """Names of this package's shared-memory segments present on the host.
-
-    Empty on platforms without a ``/dev/shm`` view of the namespace.
-    """
-    try:
-        entries = os.listdir(_SHM_DIR)
-    except OSError:
-        return []
-    return sorted(
-        name
-        for name in entries
-        if any(name.startswith(prefix + "-") for prefix in SEGMENT_PREFIXES)
-    )
-
-
-def reap_segments() -> List[str]:
-    """Unlink segments whose owning process is dead; returns their names.
-
-    The crash-recovery half of the segment lifecycle: normal runs unlink
-    their own segments, but a worker killed mid-run (or a coordinator
-    dying before it unlinks) leaves the file behind in ``/dev/shm``.
-    Any later run may call this — segments whose baked-in owner pid is
-    still alive are never touched.
-    """
-    from multiprocessing import shared_memory
-
-    reaped: List[str] = []
-    for name in audit_segments():
-        owner = _segment_owner(name)
-        if owner is None or _pid_alive(owner):
-            continue
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
-            continue
-        segment.close()
-        try:
-            segment.unlink()
-        except (FileNotFoundError, OSError):
-            continue
-        reaped.append(name)
-    if reaped and obs.enabled():
-        obs.counter("kernel.segments_reaped").inc(len(reaped))
-    return reaped
-
-
-class FleetView:
-    """Writable zero-copy columnar view over a float64 buffer.
-
-    The mutable twin of :class:`FleetState`: columns are ``'d'``-typed
-    memoryview slices of one contiguous buffer (typically a region of
-    a shared-memory segment, as in
-    :class:`repro.serve.hierarchy.ResultArena`), laid out column-major
-    at a stride of ``rows`` doubles.  Writes land directly in the
-    backing segment; no copies, no pickling.  Call :meth:`close` when
-    done (views must be released before a segment can close).
-    """
-
-    __slots__ = ("names", "rows", "_mv", "_columns")
-
-    def __init__(self, buffer, names: Sequence[str], rows: int) -> None:
-        mv = memoryview(buffer).cast("d")
-        if len(mv) < len(names) * rows:
-            mv.release()
-            raise ConfigurationError(
-                f"buffer holds {len(mv)} doubles; "
-                f"{len(names)} columns x {rows} rows need {len(names) * rows}"
-            )
-        self.names = tuple(names)
-        self.rows = rows
-        self._mv = mv
-        self._columns = {
-            name: mv[position * rows:(position + 1) * rows]
-            for position, name in enumerate(self.names)
-        }
-
-    def column(self, name: str):
-        """The live ``'d'`` memoryview of one column (writable)."""
-        return self._columns[name]
-
-    def write_row(self, index: int, values: Mapping[str, float]) -> None:
-        """Write one row's cells across the named columns."""
-        for name, value in values.items():
-            self._columns[name][index] = value
-
-    def close(self) -> None:
-        """Release the views (the backing buffer stays open)."""
-        for view in self._columns.values():
-            view.release()
-        self._columns = {}
-        self._mv.release()
-
-    def __enter__(self) -> "FleetView":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class FleetState:
-    """Struct-of-arrays numeric state for a fleet of rows.
-
-    Columns are named float64 vectors of equal length.
-    :meth:`from_rows` snapshots a fleet's engine columns
-    (:data:`ROW_COLUMNS`); the parity tests compare these snapshots
-    across the step's two implementations.
-    """
-
-    __slots__ = ("_names", "_columns", "rows")
-
-    def __init__(self, columns: Mapping[str, Sequence[float]]) -> None:
-        names = tuple(columns)
-        if not names:
-            raise ConfigurationError("fleet state needs at least one column")
-        lengths = {len(columns[name]) for name in names}
-        if len(lengths) > 1:
-            raise ConfigurationError(
-                f"fleet columns must share one length, got {sorted(lengths)}"
-            )
-        self._names = names
-        self._columns = {name: [float(v) for v in columns[name]] for name in names}
-        self.rows = lengths.pop()
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return self._names
-
-    def column(self, name: str) -> List[float]:
-        """One column's values (a copy — the state stays immutable)."""
-        return list(self._columns[name])
-
-    def as_dict(self) -> Dict[str, List[float]]:
-        return {name: list(self._columns[name]) for name in self._names}
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[SessionRow]) -> "FleetState":
-        """Snapshot the engine columns of a fleet (see :data:`ROW_COLUMNS`)."""
-        return cls(
-            {
-                "fwd_busy": [row.fwd_busy for row in rows],
-                "fb_busy": [row.fb_busy for row in rows],
-                "pos": [float(row.pos) for row in rows],
-                "fwd_bad": [1.0 if row.fwd_bad else 0.0 for row in rows],
-                "fb_bad": [1.0 if row.fb_bad else 0.0 for row in rows],
-                "fwd_drawn": [float(row.fwd_drawn) for row in rows],
-                "fb_drawn": [float(row.fb_drawn) for row in rows],
-                "ack_seq": [float(row.ack_seq) for row in rows],
-            }
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FleetState):
-            return NotImplemented
-        return self._names == other._names and self._columns == other._columns

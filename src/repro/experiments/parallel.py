@@ -5,7 +5,10 @@ module-level function and a list of work items, and get results back in
 item order — so a parallel run is *bit-for-bit identical* to the
 sequential one, just faster.  Everything degrades gracefully: ``jobs <=
 1``, a single item, or an environment where worker processes cannot be
-created (restricted sandboxes) all fall back to an in-process loop.
+created (restricted sandboxes) all fall back to an in-process loop.  A
+worker's exception re-raises at the caller; a worker that dies outright
+raises :class:`concurrent.futures.process.BrokenProcessPool` rather than
+leaving the caller waiting for its result.
 """
 
 from __future__ import annotations
@@ -37,12 +40,14 @@ def parallel_map(
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported only when a pool is needed, so in-process maps skip it.
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
-        pool = _pool_context().Pool(min(jobs, len(items)))
+        pool = ProcessPoolExecutor(
+            min(jobs, len(items)), mp_context=_pool_context()
+        )
     except (OSError, ValueError):  # e.g. sandbox without semaphores
         return [fn(item) for item in items]
-    try:
-        return pool.map(fn, items)
-    finally:
-        pool.close()
-        pool.join()
+    with pool:
+        return list(pool.map(fn, items))

@@ -33,7 +33,6 @@ from repro.serve.fastpath import FastStreamingService, serve_sessions_fast
 from repro.serve.hierarchy import (
     HierarchyPlan,
     HierarchyResult,
-    ResultArena,
     ShardTask,
     plan_hierarchy,
     resolve_auto_shards,
@@ -68,7 +67,6 @@ __all__ = [
     "LayeredShedPolicy",
     "LoadSpec",
     "PriorityScheduler",
-    "ResultArena",
     "ServedSession",
     "ServiceResult",
     "SessionDemand",

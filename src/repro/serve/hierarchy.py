@@ -1,4 +1,4 @@
-"""Sharded serving: a fleet of fleets behind one result arena.
+"""Sharded serving: a fleet of fleets, reduced from returned columns.
 
 Every multi-bottleneck run goes through :func:`run_hierarchy`.  One
 shard models one server of a fleet: its own bottleneck of
@@ -30,20 +30,15 @@ surface, and splits a run into three stages:
    row's loss sequence (the parity battery in
    ``tests/serve/test_hierarchy.py`` pins every shard bit-for-bit
    against the event-loop service serving that shard's spec alone).
-3. **Reduce.**  Workers write numeric results straight into a
-   preallocated shared-memory **result arena** — per-session outcome
-   columns, per-(shard, window) CLF/ALF/shed aggregates, per-shard
-   timings — via writable zero-copy views
-   (:class:`repro.core.kernel.FleetView`).  The coordinator maps the
-   same arena and reduces in place: no pickled results, no per-session
-   strings (reasons are reconstructed from
-   :data:`~repro.serve.admission.ADMITTED_REASON` plus the tiny
-   rejected-reason list each worker returns).
-
-The arena segment carries the coordinator's pid in its name
-(``repro-arena-<pid>-<token>``), is unlinked in a ``finally`` whatever
-the fan-out does, and — should the coordinator itself be SIGKILLed —
-is recognizable garbage for :func:`repro.core.kernel.reap_segments`.
+3. **Reduce.**  Each worker folds its fleets into plain float
+   columns — per-session outcomes, per-(shard, window) CLF/ALF/shed
+   aggregates, per-shard timings — and returns them as the value of
+   :func:`~repro.experiments.parallel.parallel_map`.  The coordinator
+   joins the chunks in shard order: no per-session objects and no
+   per-session strings cross a process boundary (reasons are
+   reconstructed from :data:`~repro.serve.admission.ADMITTED_REASON`
+   plus the short rejected-reason list each worker returns).  A
+   worker's exception, or a killed worker, raises at the coordinator.
 """
 
 from __future__ import annotations
@@ -76,7 +71,6 @@ __all__ = [
     "TARGET_SHARD_COST",
     "HierarchyPlan",
     "HierarchyResult",
-    "ResultArena",
     "ShardTask",
     "plan_hierarchy",
     "resolve_auto_shards",
@@ -105,12 +99,13 @@ TARGET_SHARD_COST = 128
 MAX_SHARD_SESSIONS = 1024
 
 #: A worker advances its assigned shards in slabs of at most this many
-#: sessions concurrently, reducing each slab into the arena and freeing
-#: it before planning the next — the worker's resident fleet state
-#: stays bounded no matter how many shards it was handed.
+#: sessions concurrently, reducing each slab into the worker's result
+#: columns and freeing it before planning the next — the worker's
+#: resident fleet state stays bounded no matter how many shards it was
+#: handed.
 SLAB_SESSION_BUDGET = 4096
 
-#: Per-session outcome columns of the result arena, in arena order.
+#: Per-session outcome columns a worker returns, one value per session row.
 SESSION_COLUMNS = (
     "admitted",
     "has_result",
@@ -187,7 +182,7 @@ def shard_specs(spec: LoadSpec, shards: int) -> List[LoadSpec]:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One shard's slice of the fleet: spec + arena row placement."""
+    """One shard's slice of the fleet: spec + first session row."""
 
     index: int
     spec: LoadSpec
@@ -319,136 +314,38 @@ def plan_hierarchy(
 
 
 # ----------------------------------------------------------------------
-# The result arena
+# Workers: many fleets per epoch, results returned as columns
 # ----------------------------------------------------------------------
 
 
-class _ArenaView:
-    """Writable zero-copy views over the arena's three regions."""
+class _ChunkColumns:
+    """One worker chunk's numeric results, returned to the coordinator.
 
-    __slots__ = ("sessions", "windows", "shards", "_mv", "_segment")
-
-    def __init__(self, arena: "ResultArena") -> None:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=arena.shm_name)
-        try:
-            mv = memoryview(segment.buf)
-            session_end = 8 * arena.session_doubles
-            window_end = session_end + 8 * arena.window_doubles
-            shard_end = window_end + 8 * arena.shard_doubles
-            self.sessions = kernel.FleetView(
-                mv[:session_end], SESSION_COLUMNS, arena.rows
-            )
-            self.windows = kernel.FleetView(
-                mv[session_end:window_end],
-                WINDOW_COLUMNS,
-                arena.shards * arena.max_windows,
-            )
-            self.shards = kernel.FleetView(
-                mv[window_end:shard_end], SHARD_COLUMNS, arena.shards
-            )
-            self._mv = mv
-            self._segment = segment
-        except Exception:
-            segment.close()
-            raise
-
-    def close(self) -> None:
-        self.shards.close()
-        self.windows.close()
-        self.sessions.close()
-        self._mv.release()
-        self._segment.close()
-
-    def __enter__(self) -> "_ArenaView":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-@dataclass(frozen=True)
-class ResultArena:
-    """Name + layout of one run's shared-memory result arena.
-
-    Three column-major float64 regions in one segment: per-session
-    outcome columns (:data:`SESSION_COLUMNS` x ``rows``), per-(shard,
-    window-ordinal) aggregates (:data:`WINDOW_COLUMNS` x
-    ``shards * max_windows``, shard ``s``'s ordinal ``w`` at row
-    ``s * max_windows + w``) and per-shard bookkeeping
-    (:data:`SHARD_COLUMNS` x ``shards``).  The handle is tiny and
-    picklable; workers :meth:`map` it and write in place.
+    Plain float lists, each part indexed from the chunk's first shard:
+    the run's session row ``r`` sits at ``r - row_base`` of
+    :data:`SESSION_COLUMNS`, shard ``s`` at ``s - shard_base`` of
+    :data:`SHARD_COLUMNS`, and shard ``s``'s window ordinal ``w`` at
+    ``(s - shard_base) * max_windows + w`` of :data:`WINDOW_COLUMNS`.
     """
 
-    shm_name: str
-    rows: int
-    shards: int
-    max_windows: int
+    __slots__ = (
+        "sessions", "windows", "shards", "row_base", "shard_base", "max_windows"
+    )
 
-    @property
-    def session_doubles(self) -> int:
-        return len(SESSION_COLUMNS) * self.rows
-
-    @property
-    def window_doubles(self) -> int:
-        return len(WINDOW_COLUMNS) * self.shards * self.max_windows
-
-    @property
-    def shard_doubles(self) -> int:
-        return len(SHARD_COLUMNS) * self.shards
-
-    @property
-    def size_bytes(self) -> int:
-        return 8 * (self.session_doubles + self.window_doubles + self.shard_doubles)
-
-    @classmethod
-    def create(cls, plan: HierarchyPlan) -> "ResultArena":
-        """Allocate (zero-filled) and name the arena for one run.
-
-        The segment stays registered with this process's resource
-        tracker: the coordinator creates it and unlinks it, workers
-        only map it, so a hard-killed coordinator still gets its arena
-        unlinked at tracker exit.
-        """
-        arena = cls(
-            shm_name="",
-            rows=plan.sessions,
-            shards=plan.shards,
-            max_windows=plan.windows_per_session,
-        )
-        segment = kernel.new_segment(max(arena.size_bytes, 8), kind="arena")
-        try:
-            return replace(arena, shm_name=segment.name)
-        finally:
-            segment.close()
-
-    def map(self) -> _ArenaView:
-        """Attach writable zero-copy views (close when done; no unlink)."""
-        return _ArenaView(self)
-
-    def unlink(self) -> None:
-        """Release the segment (safe to call if it is already gone)."""
-        from multiprocessing import shared_memory
-
-        try:
-            segment = shared_memory.SharedMemory(name=self.shm_name)
-        except FileNotFoundError:
-            return
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
-# ----------------------------------------------------------------------
-# Workers: many fleets per epoch, results straight into the arena
-# ----------------------------------------------------------------------
+    def __init__(self, chunk: Sequence[ShardTask], max_windows: int) -> None:
+        rows = sum(task.spec.sessions for task in chunk)
+        self.row_base = chunk[0].row_offset
+        self.shard_base = chunk[0].index
+        self.max_windows = max_windows
+        self.sessions = {name: [0.0] * rows for name in SESSION_COLUMNS}
+        self.windows = {
+            name: [0.0] * (len(chunk) * max_windows) for name in WINDOW_COLUMNS
+        }
+        self.shards = {name: [0.0] * len(chunk) for name in SHARD_COLUMNS}
 
 
 def _session_row(task: ShardTask, session_id: str) -> int:
-    """Arena row of one shard-local session (load-generator ids)."""
+    """Run-wide row of one shard-local session (load-generator ids)."""
     return task.row_offset + int(session_id[1:])
 
 
@@ -468,7 +365,7 @@ def _slabs(tasks: Sequence[ShardTask]) -> Iterator[List[ShardTask]]:
 
 def _plan_shard(
     task: ShardTask,
-    view: _ArenaView,
+    out: _ChunkColumns,
     capacity_bps: float,
     scheduler_name: str,
     shedding: bool,
@@ -481,7 +378,7 @@ def _plan_shard(
     Returns the shard's admitted fleet (``None`` when everything was
     rejected) and its admitted count.  Rejection reasons — the only
     non-numeric outcome data — are collected into ``rejected`` as
-    ``(arena_row, reason)`` pairs; admitted reasons need no transport
+    ``(session_row, reason)`` pairs; admitted reasons need no transport
     (they are all :data:`~repro.serve.admission.ADMITTED_REASON`).  The
     fleet interns its configs and windows into the slab's ``tables``.
     """
@@ -495,21 +392,22 @@ def _plan_shard(
     )
     planner.submit_all(generate_requests(task.spec))
     result = planner.run()
-    sessions = view.sessions
+    columns = out.sessions
+    admitted_col = columns["admitted"]
+    priority_col = columns["priority"]
+    share_col = columns["share_bps"]
+    demand_col = columns["demand_bps"]
+    critical_col = columns["critical_bps"]
     plans = []
     admitted = 0
     for outcome in result.outcomes:
         row = _session_row(task, outcome.request.session_id)
-        sessions.write_row(
-            row,
-            {
-                "admitted": 1.0 if outcome.admitted else 0.0,
-                "priority": float(outcome.request.priority),
-                "share_bps": outcome.share_bps,
-                "demand_bps": outcome.demand_bps,
-                "critical_bps": outcome.critical_bps,
-            },
-        )
+        local = row - out.row_base
+        admitted_col[local] = 1.0 if outcome.admitted else 0.0
+        priority_col[local] = float(outcome.request.priority)
+        share_col[local] = float(outcome.share_bps)
+        demand_col[local] = float(outcome.demand_bps)
+        critical_col[local] = float(outcome.critical_bps)
         if outcome.admitted:
             admitted += 1
             plans.append(planner.session_plans[outcome.request.session_id])
@@ -522,36 +420,39 @@ def _plan_shard(
 
 
 def _reduce_shard(
-    task: ShardTask, execution: _FleetExecution, view: _ArenaView, max_windows: int
+    task: ShardTask, execution: _FleetExecution, out: _ChunkColumns
 ) -> None:
-    """Fold one finished fleet's results into the arena, then drop it.
+    """Fold one finished fleet's results into the columns, then drop it.
 
     The lean twin of :meth:`_FleetExecution.finalize`: the same numbers
     land in the session columns, but nothing is written back onto
     outcome objects and no per-session observability fires — at
     K = 10^5 that would be the hot path.
     """
-    sessions = view.sessions
-    clf_sum = view.windows.column("clf_sum")
-    alf_sum = view.windows.column("alf_sum")
-    shed_col = view.windows.column("shed_frames")
-    frames_col = view.windows.column("frames")
-    rows_col = view.windows.column("rows")
-    base = task.index * max_windows
+    columns = out.sessions
+    has_result_col = columns["has_result"]
+    mean_col = columns["mean_clf"]
+    stream_col = columns["stream_clf"]
+    session_shed_col = columns["shed_frames"]
+    share_col = columns["share_bps"]
+    min_share_col = columns["min_share_bps"]
+    windows = out.windows
+    clf_sum = windows["clf_sum"]
+    alf_sum = windows["alf_sum"]
+    shed_col = windows["shed_frames"]
+    frames_col = windows["frames"]
+    rows_col = windows["rows"]
+    base = (task.index - out.shard_base) * out.max_windows
     for fleet_row in execution.rows:
         outcome = fleet_row.plan.outcome
         result = fleet_row.result
-        sessions.write_row(
-            _session_row(task, outcome.request.session_id),
-            {
-                "has_result": 1.0,
-                "mean_clf": result.mean_clf,
-                "stream_clf": float(result.stream_clf),
-                "shed_frames": float(fleet_row.shed_total),
-                "share_bps": outcome.share_bps,
-                "min_share_bps": fleet_row.min_share_bps,
-            },
-        )
+        local = _session_row(task, outcome.request.session_id) - out.row_base
+        has_result_col[local] = 1.0
+        mean_col[local] = float(result.mean_clf)
+        stream_col[local] = float(result.stream_clf)
+        session_shed_col[local] = float(fleet_row.shed_total)
+        share_col[local] = float(outcome.share_bps)
+        min_share_col[local] = float(fleet_row.min_share_bps)
         for ordinal, window in enumerate(result.windows):
             slot = base + ordinal
             clf_sum[slot] += window.clf
@@ -563,8 +464,7 @@ def _reduce_shard(
 
 def _run_slab(
     slab: List[ShardTask],
-    view: _ArenaView,
-    arena: ResultArena,
+    out: _ChunkColumns,
     capacity_bps: float,
     scheduler_name: str,
     shedding: bool,
@@ -586,14 +486,17 @@ def _run_slab(
     window ids are keyed by identity, so they must not outlive the
     slab's windows.
     """
-    meta = view.shards
+    meta = out.shards
+    plan_col = meta["plan_seconds"]
+    serve_col = meta["serve_seconds"]
+    reduce_col = meta["reduce_seconds"]
     tables = _FleetTables(shape_caches)
     live: List[Tuple[ShardTask, _FleetExecution]] = []
     for task in slab:
         started = time.perf_counter()
         execution, admitted = _plan_shard(
             task,
-            view,
+            out,
             capacity_bps,
             scheduler_name,
             shedding,
@@ -601,14 +504,10 @@ def _run_slab(
             rejected,
             tables,
         )
-        meta.write_row(
-            task.index,
-            {
-                "plan_seconds": time.perf_counter() - started,
-                "sessions": float(task.spec.sessions),
-                "admitted": float(admitted),
-            },
-        )
+        local = task.index - out.shard_base
+        plan_col[local] = time.perf_counter() - started
+        meta["sessions"][local] = float(task.spec.sessions)
+        meta["admitted"][local] = float(admitted)
         if execution is not None:
             live.append((task, execution))
     started = time.perf_counter()
@@ -621,22 +520,20 @@ def _run_slab(
     # each shard's admitted-row share (slab granularity — documented in
     # DESIGN.md — so per-shard serve times sum to the true slab wall).
     total_rows = sum(len(execution.rows) for _, execution in live) or 1
-    serve_col = meta.column("serve_seconds")
-    reduce_col = meta.column("reduce_seconds")
     for task, execution in live:
-        serve_col[task.index] = serve_wall * len(execution.rows) / total_rows
+        local = task.index - out.shard_base
+        serve_col[local] = serve_wall * len(execution.rows) / total_rows
         started = time.perf_counter()
-        _reduce_shard(task, execution, view, arena.max_windows)
-        reduce_col[task.index] = time.perf_counter() - started
+        _reduce_shard(task, execution, out)
+        reduce_col[local] = time.perf_counter() - started
 
 
-def _run_worker(task):
-    """Worker: serve a chunk of shards into the arena (picklable).
+def _run_worker(task) -> Tuple[_ChunkColumns, List[Tuple[int, str]]]:
+    """Worker: serve a chunk of shards; return its columns (picklable).
 
-    Exceptions travel home as ``("error", exc)`` markers so the pool
-    survives and the coordinator can still unlink the arena; the only
-    other payload is the tiny rejected-reason list — every number went
-    through shared memory.
+    Returns the chunk's :class:`_ChunkColumns` and its rejected-reason
+    list.  An exception propagates to the coordinator through
+    :func:`~repro.experiments.parallel.parallel_map`.
 
     Window shapes, layouts and permutation plans are cached per config
     family for this call only: every shard the worker serves shares
@@ -647,38 +544,33 @@ def _run_worker(task):
     reducing build no reference cycles, so collector scans would
     reclaim nothing.
     """
-    chunk, arena, capacity_bps, scheduler_name, shedding, admission = task
-    try:
-        view = arena.map()
-        try:
-            rejected: List[Tuple[int, str]] = []
-            shape_caches: Dict[tuple, dict] = {}
-            for slab in _slabs(chunk):
-                with kernel.gc_paused():
-                    _run_slab(
-                        slab,
-                        view,
-                        arena,
-                        capacity_bps,
-                        scheduler_name,
-                        shedding,
-                        admission,
-                        rejected,
-                        shape_caches,
-                    )
-            return ("ok", rejected)
-        finally:
-            view.close()
-    except Exception as exc:
-        return ("error", exc)
+    chunk, max_windows, capacity_bps, scheduler_name, shedding, admission = task
+    out = _ChunkColumns(chunk, max_windows)
+    rejected: List[Tuple[int, str]] = []
+    shape_caches: Dict[tuple, dict] = {}
+    for slab in _slabs(chunk):
+        with kernel.gc_paused():
+            _run_slab(
+                slab,
+                out,
+                capacity_bps,
+                scheduler_name,
+                shedding,
+                admission,
+                rejected,
+                shape_caches,
+            )
+    return out, rejected
 
 
 def _assign(tasks: Sequence[ShardTask], workers: int) -> List[List[ShardTask]]:
-    """Contiguous near-equal shard chunks, one per worker.
+    """Contiguous near-equal shard chunks, one per worker, in shard order.
 
     Shard sizes differ by at most one session, so equal shard counts
-    are equal work; contiguity keeps each worker's arena writes in a
-    dense row range (friendly to the shared pages).
+    are equal work.  The coordinator relies on the order: concatenating
+    the chunks' columns in chunk order puts session row ``r`` at index
+    ``r`` and shard ``s``'s window ordinal ``w`` at
+    ``s * windows_per_session + w``.
     """
     workers = max(1, min(workers, len(tasks)))
     base, extra = divmod(len(tasks), workers)
@@ -724,8 +616,8 @@ def _percentile(values: Sequence[float], pct: float) -> float:
 class HierarchyResult:
     """Reduced outcome of one hierarchical run.
 
-    Holds the arena's numeric columns (copied out once, before the
-    segment was unlinked) plus the rejected-reason map; duck-types
+    Holds the workers' numeric columns, joined in shard order, plus the
+    rejected-reason map; duck-types
     enough of :class:`~repro.serve.service.ServiceResult` for manifests
     and the CLI (``outcomes`` rebuilds lean outcome objects lazily —
     summaries never need them).
@@ -976,8 +868,9 @@ def run_hierarchy(
     ``spec`` is a :class:`~repro.serve.loadgen.LoadSpec` (planned here
     via :func:`plan_hierarchy`) or an already-built
     :class:`HierarchyPlan`.  ``jobs`` caps the process pool (default:
-    the plan's worker count); the outcome is independent of it.  The
-    arena is unlinked on every exit path.
+    the plan's worker count); the outcome is independent of it.  A
+    worker's exception propagates; a killed worker raises
+    :class:`concurrent.futures.process.BrokenProcessPool`.
     """
     if isinstance(spec, HierarchyPlan):
         plan = spec
@@ -994,71 +887,53 @@ def run_hierarchy(
             shedding=shedding,
             admission=admission,
         )
-    result, arena = _fan_out(plan, jobs)
+    result = _fan_out(plan, jobs)
     if obs.enabled():
-        _observe_run(result, arena)
+        _observe_run(result)
     return result
 
 
-def _fan_out(
-    plan: HierarchyPlan, jobs: Optional[int]
-) -> Tuple[HierarchyResult, ResultArena]:
-    """Serve ``plan`` through the worker pool; reduce the arena.
+def _concat(parts: Sequence[Dict[str, List[float]]]) -> Dict[str, List[float]]:
+    """Join per-chunk columns end to end, in chunk order, into the first."""
+    joined = parts[0]
+    for part in parts[1:]:
+        for name, column in part.items():
+            joined[name].extend(column)
+    return joined
 
-    Returns the result and the (already unlinked) arena handle, whose
-    layout the run's observability reports.
-    """
+
+def _fan_out(plan: HierarchyPlan, jobs: Optional[int]) -> HierarchyResult:
+    """Serve ``plan`` through the worker pool; join the chunks' columns."""
     started = time.perf_counter()
-    arena = ResultArena.create(plan)
-    try:
-        chunks = _assign(plan.shard_tasks, plan.workers)
-        tasks = [
-            (chunk, arena, plan.capacity_bps, plan.scheduler,
-             plan.shedding, plan.admission)
-            for chunk in chunks
-        ]
-        outputs = parallel_map(
-            _run_worker, tasks, jobs if jobs is not None else plan.workers
-        )
-        errors = [payload for marker, payload in outputs if marker == "error"]
-        if errors:
-            raise errors[0]
-        rejected_reasons: Dict[int, str] = {}
-        for _, payload in outputs:
-            for row, reason in payload:
-                rejected_reasons[row] = reason
-        with arena.map() as view:
-            columns = {
-                name: list(view.sessions.column(name)) for name in SESSION_COLUMNS
-            }
-            window_totals = {
-                name: list(view.windows.column(name)) for name in WINDOW_COLUMNS
-            }
-            shard_stats = {
-                name: list(view.shards.column(name)) for name in SHARD_COLUMNS
-            }
-    finally:
-        arena.unlink()
-    result = HierarchyResult(
+    tasks = [
+        (chunk, plan.windows_per_session, plan.capacity_bps, plan.scheduler,
+         plan.shedding, plan.admission)
+        for chunk in _assign(plan.shard_tasks, plan.workers)
+    ]
+    outputs = parallel_map(
+        _run_worker, tasks, jobs if jobs is not None else plan.workers
+    )
+    parts = [out for out, _ in outputs]
+    return HierarchyResult(
         plan=plan,
-        columns=columns,
-        window_totals=window_totals,
-        shard_stats=shard_stats,
-        rejected_reasons=rejected_reasons,
+        columns=_concat([part.sessions for part in parts]),
+        window_totals=_concat([part.windows for part in parts]),
+        shard_stats=_concat([part.shards for part in parts]),
+        rejected_reasons={
+            row: reason for _, rejected in outputs for row, reason in rejected
+        },
         wall_seconds=time.perf_counter() - started,
     )
-    return result, arena
 
 
-def _observe_run(result: HierarchyResult, arena: ResultArena) -> None:
-    """Record one run's counters, stage clocks and arena gauges.
+def _observe_run(result: HierarchyResult) -> None:
+    """Record one run's counters and stage clocks.
 
-    The stage clocks sum the arena's per-shard timing columns, so they
-    cover every worker's share of the run whatever the worker count.
+    The stage clocks sum the per-shard timing columns, so they cover
+    every worker's share of the run whatever the worker count.
     """
     plan = result.plan
     shard_stats = result.shard_stats
-    window_totals = result.window_totals
     obs.counter("serve.hierarchy.runs").inc()
     obs.counter("serve.hierarchy.sessions").inc(plan.sessions)
     obs.counter("serve.hierarchy.shards").inc(plan.shards)
@@ -1078,9 +953,4 @@ def _observe_run(result: HierarchyResult, arena: ResultArena) -> None:
             + shard_stats["serve_seconds"][index]
             + shard_stats["reduce_seconds"][index]
         )
-    occupied = sum(1 for rows in window_totals["rows"] if rows > 0.0)
-    slots = len(window_totals["rows"]) or 1
-    obs.gauge("serve.hierarchy.arena_bytes").set(float(arena.size_bytes))
-    obs.gauge("serve.hierarchy.arena_rows").set(float(plan.sessions))
-    obs.gauge("serve.hierarchy.arena_occupancy").set(occupied / slots)
     obs.gauge("serve.hierarchy.fanout_seconds").set(result.wall_seconds)

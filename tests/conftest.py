@@ -61,39 +61,3 @@ def small_mpeg_stream():
 def jurassic_stream():
     """A calibrated Jurassic Park-like stream, 30 GOPs."""
     return calibrated_stream("jurassic_park_corrected", gop_count=30, seed=7)
-
-
-@pytest.fixture(scope="session")
-def arena_round_trip():
-    """Copy a ``FleetState`` through an arena shared-memory segment.
-
-    The columns are written through one writable ``FleetView`` over a
-    fresh ``kernel.new_segment(kind="arena")``, read back through a
-    second view attached to the segment by name, and the segment is
-    unlinked whatever happens — the same path the result arena takes.
-    """
-    from array import array
-    from multiprocessing import shared_memory
-
-    from repro.core import kernel
-
-    def round_trip(state):
-        names, rows = state.names, state.rows
-        segment = kernel.new_segment(max(8 * len(names) * rows, 8), kind="arena")
-        try:
-            with kernel.FleetView(segment.buf, names, rows) as view:
-                for name in names:
-                    view.column(name)[:] = array("d", state.column(name))
-            attached = shared_memory.SharedMemory(name=segment.name)
-            try:
-                with kernel.FleetView(attached.buf, names, rows) as view:
-                    return kernel.FleetState(
-                        {name: list(view.column(name)) for name in names}
-                    )
-            finally:
-                attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    return round_trip

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro import accel
 from repro.core import kernel
 from repro.core.protocol import ProtocolConfig, ProtocolSession
-from repro.errors import ConfigurationError
 from repro.media.gop import GopPattern
 from repro.media.ldu import FrameType, Ldu
 from repro.media.stream import MediaStream, make_video_stream
@@ -420,60 +419,6 @@ class TestWindowLayout:
         assert other is not first
         assert other.shape is first.shape
         assert sum(other.frag_counts) > sum(first.frag_counts)
-
-
-class TestFleetState:
-    def _fleet(self, small_stream):
-        config = ProtocolConfig(gop_size=4, p_good=0.9, p_bad=0.5, seed=0)
-        windows = list(small_stream.windows(config.window_frames))[:2]
-        shapes = {}
-        control = kernel.CONTROL_PACKET_BYTES * 8.0 / config.bandwidth_bps
-        rows = [kernel.SessionRow(config, seed) for seed in (1, 2, 3)]
-        for index, window in enumerate(windows):
-            info = kernel.WindowInfo(window, config, small_stream.fps, shapes)
-            kernel.step_window(
-                rows,
-                info,
-                config,
-                small_stream.fps,
-                index,
-                control_serialization=control,
-            )
-        return rows
-
-    def test_shared_memory_round_trip_is_exact(self, small_stream, arena_round_trip):
-        rows = self._fleet(small_stream)
-        state = kernel.FleetState.from_rows(rows)
-        copied = arena_round_trip(state)
-        assert copied == state
-        assert copied.column("fwd_busy") == [row.fwd_busy for row in rows]
-        assert copied.column("ack_seq") == [float(row.ack_seq) for row in rows]
-
-    def test_unlink_is_idempotent(self):
-        from repro.serve import LoadSpec
-        from repro.serve.hierarchy import ResultArena, plan_hierarchy
-
-        plan = plan_hierarchy(LoadSpec(sessions=3), 1e6, shards=1, workers=1)
-        arena = ResultArena.create(plan)
-        assert arena.shm_name in kernel.audit_segments()
-        arena.unlink()
-        arena.unlink()  # second release must be a no-op
-        assert arena.shm_name not in kernel.audit_segments()
-
-    def test_columns_cover_engine_state(self, small_stream):
-        state = kernel.FleetState.from_rows(self._fleet(small_stream))
-        assert state.names == kernel.ROW_COLUMNS
-        as_dict = state.as_dict()
-        assert set(as_dict) == set(kernel.ROW_COLUMNS)
-        assert all(len(column) == state.rows for column in as_dict.values())
-
-    def test_mismatched_column_lengths_rejected(self):
-        with pytest.raises(ConfigurationError):
-            kernel.FleetState({"a": [1.0, 2.0], "b": [1.0]})
-
-    def test_empty_state_rejected(self):
-        with pytest.raises(ConfigurationError):
-            kernel.FleetState({})
 
 
 class TestPrefetchHorizon:

@@ -75,7 +75,7 @@ class TestHierarchyStageClocks:
             ("plan_seconds", "serve_seconds", "reduce_seconds"),
         ):
             assert timers[stage]["count"] == 1
-            # The clock is the arena's per-shard column, summed.
+            # The clock is the per-shard timing column, summed.
             assert timers[stage]["total"] == pytest.approx(
                 sum(result.shard_stats[column])
             )

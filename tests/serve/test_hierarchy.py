@@ -4,13 +4,18 @@ The load-bearing property is bit-for-bit parity: every shard of a
 hierarchy run must reproduce the event-loop service serving that
 shard's derived spec alone (``serve_sessions(..., fast=False)``) —
 outcome for outcome, on every acceleration backend, for any worker
-count.  Everything else (cost-model planning, the shared-memory result
-arena, the reduced result surface) is tested around that core.
+count.  Everything else (cost-model planning, the returned result
+columns, failure paths, the reduced result surface) is tested around
+that core.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,12 +27,37 @@ from repro.serve.admission import ADMITTED_REASON
 from repro.serve.hierarchy import (
     MAX_SHARD_SESSIONS,
     HierarchyPlan,
-    ResultArena,
     plan_hierarchy,
     resolve_auto_shards,
     run_hierarchy,
     shard_specs,
 )
+
+SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
+
+#: Run in a child process: SIGKILL the pool worker that plans shard 1,
+#: then report what the coordinator raised and which children remain.
+_KILLED_WORKER_SCRIPT = """
+import multiprocessing, os, signal
+from concurrent.futures.process import BrokenProcessPool
+from repro.serve import LoadSpec, hierarchy
+
+real = hierarchy._plan_shard
+coordinator = os.getpid()
+
+def killed(task, *args, **kwargs):
+    if task.index == 1 and os.getpid() != coordinator:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(task, *args, **kwargs)
+
+hierarchy._plan_shard = killed
+spec = LoadSpec(sessions=8, seed=0, gop_count=4, max_windows=2)
+try:
+    hierarchy.run_hierarchy(spec, 2e6, shards=4, workers=2, jobs=2)
+except BrokenProcessPool:
+    print("raised BrokenProcessPool")
+print("children left:", len(multiprocessing.active_children()))
+"""
 
 #: A fleet under enough pressure that admission rejects, shedding fires
 #: and shares bind — the regime where a transport bug would show.
@@ -219,30 +249,7 @@ class TestParity:
 
 
 class TestArena:
-    def test_no_segments_leak_after_a_run(self):
-        before = set(kernel.audit_segments())
-        run_hierarchy(_tight_spec(), TIGHT_CAPACITY, shards=4, jobs=2)
-        assert set(kernel.audit_segments()) == before
-
-    def test_arena_layout_and_unlink(self):
-        plan = plan_hierarchy(
-            LoadSpec(sessions=10, gop_count=4, max_windows=2), 1e6, shards=3
-        )
-        arena = ResultArena.create(plan)
-        try:
-            assert f"-{os.getpid()}-" in arena.shm_name
-            with arena.map() as view:
-                assert view.sessions.rows == 10
-                assert view.windows.rows == 3 * plan.windows_per_session
-                assert view.shards.rows == 3
-                column = view.sessions.column("admitted")
-                assert list(column) == [0.0] * 10
-                column[0] = 1.0
-            with arena.map() as view:
-                assert view.sessions.column("admitted")[0] == 1.0
-        finally:
-            arena.unlink()
-        arena.unlink()  # second unlink must be a no-op
+    """Results come home by value, so a failed run leaves nothing behind."""
 
     def test_worker_error_propagates_and_cleans_up(self, monkeypatch):
         from repro.serve import hierarchy
@@ -251,10 +258,78 @@ class TestArena:
             raise RuntimeError("planned failure")
 
         monkeypatch.setattr(hierarchy, "_plan_shard", boom)
-        before = set(kernel.audit_segments())
         with pytest.raises(RuntimeError, match="planned failure"):
             run_hierarchy(_tight_spec(), TIGHT_CAPACITY, shards=4, jobs=1)
-        assert set(kernel.audit_segments()) == before
+
+
+class TestFailurePaths:
+    """Worker failures re-raise at the coordinator with their own type."""
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "pooled"])
+    @pytest.mark.parametrize(
+        "error",
+        [RuntimeError("shard blew up"), ConfigurationError("bad shard")],
+        ids=["RuntimeError", "ConfigurationError"],
+    )
+    def test_failing_second_shard_reraises(self, monkeypatch, jobs, error):
+        from repro.serve import hierarchy
+
+        real = hierarchy._plan_shard
+
+        def flaky(task, *args, **kwargs):
+            if task.index == 1:
+                raise error
+            return real(task, *args, **kwargs)
+
+        # Patched before the pool forks, so pooled workers inherit it.
+        monkeypatch.setattr(hierarchy, "_plan_shard", flaky)
+        spec = LoadSpec(sessions=8, seed=0, gop_count=4, max_windows=2)
+        with pytest.raises(type(error), match=str(error)):
+            run_hierarchy(spec, 2e6, shards=4, workers=2, jobs=jobs)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="kills a forked pool worker"
+    )
+    def test_killed_worker_raises_instead_of_hanging(self):
+        """A SIGKILLed pool worker breaks the pool; the run raises."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC_DIR, env.get("PYTHONPATH")])
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_WORKER_SCRIPT],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            output, _ = child.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            pytest.fail("the coordinator hung on a killed worker")
+        finally:
+            # The child leads its own process group: whatever it left
+            # behind, hung or not, goes down with it.
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.wait()
+        assert child.returncode == 0, output
+        assert "raised BrokenProcessPool" in output
+        assert "children left: 0" in output
+
+    def test_interrupted_fan_out_propagates(self, monkeypatch):
+        from repro.serve import hierarchy
+
+        def interrupted(fn, tasks, jobs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(hierarchy, "parallel_map", interrupted)
+        spec = LoadSpec(sessions=4, seed=0, gop_count=4, max_windows=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_hierarchy(spec, 2e6, shards=2)
 
 
 class TestCacheScope:

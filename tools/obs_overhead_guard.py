@@ -14,7 +14,7 @@ four instrumented paths:
 * ``serve_sessions_fast`` — whose plan and execute stage clocks are
   created only when metrics are on — against the same two phases with
   the clock branches elided;
-* ``run_hierarchy`` — whose counters, stage clocks and arena gauges are
+* ``run_hierarchy`` — whose counters, stage clocks and fan-out gauge are
   recorded only when metrics are on — against the same plan and
   fan-out with the recording branch elided.
 
@@ -95,7 +95,7 @@ def _plain_serve_fast(requests, capacity_bps, **kwargs):
 def _plain_run_hierarchy(spec, capacity_bps, **kwargs):
     """``run_hierarchy`` with its ``obs`` branch removed, nothing else."""
     plan = hierarchy.plan_hierarchy(spec, capacity_bps, **kwargs)
-    result, _ = hierarchy._fan_out(plan, None)
+    result = hierarchy._fan_out(plan, None)
     return result
 
 
